@@ -1,6 +1,6 @@
 //! # h2-bench — benchmark harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 and EXPERIMENTS.md).
+//! One binary per table/figure of the paper.
 //! This library holds the shared plumbing: problem setup, solver invocation wrappers,
 //! result tables and the scaled-down default problem sizes used on the single-core
 //! reproduction machine.

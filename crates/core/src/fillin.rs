@@ -14,8 +14,6 @@
 
 use h2_lowrank::{srft_sketch, SketchPrecision};
 use h2_matrix::{lu_factor, lu_solve_mat, matmul, matmul_tn, Matrix};
-use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// How the sampled fill-in path sketches each pivot's union panels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,25 +33,11 @@ pub enum FillSketch {
     Srft(SketchPrecision),
 }
 
-/// The fill-in blocks affecting one level, grouped for basis enrichment.
-#[derive(Debug, Default)]
-pub struct FillIns {
-    /// For each block row `i`, the horizontal concatenation of every fill-in block
-    /// `F_{i,j}^{(k)}` landing in that row (enriches the row basis `U_i`).
-    pub row_fills: HashMap<usize, Vec<Matrix>>,
-    /// For each block column `j`, the fill-in blocks transposed (enriches the column
-    /// basis `V_j` with their row space).
-    pub col_fills: HashMap<usize, Vec<Matrix>>,
-    /// Number of fill-in blocks computed (for reporting).
-    pub count: usize,
-}
-
 /// The fill-in contribution of a single pivot `k` — the unit of work of one
-/// fused-graph fill task.  [`precompute_fillins`] is a parallel map of
-/// [`fillin_pivot`] over all pivots followed by the deterministic
-/// per-row/per-column accumulation ([`row_fills_from`] / [`col_fills_from`]);
-/// the fused task graph runs exactly the same two stages as individual tasks,
-/// so both schedules produce bitwise identical basis-enrichment inputs.
+/// fused-graph fill task ([`fillin_pivot`]).  The basis tasks then accumulate
+/// the contributions per row and per column in a fixed order
+/// ([`row_fills_from`] / [`col_fills_from`]), so the basis-enrichment inputs
+/// never depend on scheduling.
 #[derive(Debug, Default)]
 pub struct PivotFills {
     /// Fill-in blocks this pivot generates (reporting).
@@ -69,10 +53,15 @@ pub struct PivotFills {
 
 /// Compute the fill-in contribution of pivot `k` with neighbour list `nk`.
 ///
-/// Exact mode (`sample_cols == None`) forms every product `Z_ik W_kj`; sampled
-/// mode captures the union column/row space through `sample_cols`-wide test
-/// matrices (Gaussian or SRFT, see [`FillSketch`]).  A singular diagonal block
-/// yields an empty contribution — the factorization surfaces the problem later.
+/// `dense_block(i, j)` returns the dense block of a neighbour pair (including
+/// the diagonal).  Exact mode (`sample_cols == None`) forms every product
+/// `Z_ik W_kj` — the paper's literal Eq. 27–28 input.  Sampled mode
+/// (`Some(c)`) captures the column (and row) space of the **union** of a block
+/// row's fill-ins through shared `c`-wide test matrices (Gaussian or SRFT, see
+/// [`FillSketch`]): `O(|N|)` GEMMs per pivot instead of the `O(|N|²)` per-pair
+/// products, and one `c`-wide enrichment block per (pivot, target row) instead
+/// of one `m_j`-wide block per fill-in pair.  A singular diagonal block yields
+/// an empty contribution — the factorization surfaces the problem later.
 pub fn fillin_pivot(
     k: usize,
     nk: &[usize],
@@ -197,7 +186,11 @@ pub fn fillin_pivot(
 ///
 /// Exact-mode blocks targeting the same `(i, j)` pair are summed (or, on a
 /// shape mismatch, kept side by side) in pivot order and flattened in ascending
-/// `j` — bit-for-bit the accumulation [`precompute_fillins`] performs globally.
+/// `j`, which both matches the true Schur contribution and keeps the
+/// basis-enrichment QR narrow.  Sampled-mode pivots keep their samples as
+/// separate blocks — rather than summing them — preserving the relative
+/// magnitudes the basis QR's tolerance cut relies on; the extra input width is
+/// absorbed by the sketched compression.
 pub fn row_fills_from<'a>(i: usize, pivots: impl Iterator<Item = &'a PivotFills>) -> Vec<Matrix> {
     let mut acc: Vec<(usize, Matrix)> = Vec::new(); // keyed by j, insertion kept
     let mut sampled: Vec<Matrix> = Vec::new();
@@ -263,66 +256,6 @@ pub fn col_fills_from<'a>(j: usize, pivots: impl Iterator<Item = &'a PivotFills>
     out
 }
 
-/// Compute all fill-in blocks of one level.
-///
-/// * `nb` — number of block rows/columns at the level,
-/// * `neighbours` — for each `k`, the off-diagonal columns `j != k` whose block `(k, j)`
-///   is dense at this level,
-/// * `dense_block(i, j)` — accessor returning the dense block for a neighbour pair
-///   (including the diagonal),
-/// * `sample_cols` — when `Some(c)`, the fill-ins are not formed exactly: the column
-///   (and row) space of the **union** of a block row's fill-ins is captured through
-///   shared random test matrices.  Per pivot `k` this takes `O(|N|)` GEMMs (one
-///   panel sketch `S_k = Σ_j W_kj Ω_kj` plus one product `Z_ik S_k` per neighbour)
-///   instead of the `O(|N|²)` per-pair products of the exact path, and the basis
-///   enrichment input becomes one `c`-wide block per (pivot, target row) — i.e.
-///   `c · |pivots touching the row|` columns, instead of one `m_j`-wide block per
-///   fill-in pair.  This is part of the "sampled" construction mode of DESIGN.md
-///   §2; the exact mode (`None`) is the paper's literal Eq. 27–28 input.
-///
-/// Fill-ins targeting the same `(i, j)` pair from different pivots are accumulated
-/// into one block (exact mode), which both matches the true Schur contribution and
-/// keeps the basis-enrichment QR narrow.
-pub fn precompute_fillins(
-    nb: usize,
-    neighbours: &[Vec<usize>],
-    dense_block: impl Fn(usize, usize) -> Matrix + Sync,
-    sample_cols: Option<usize>,
-    sketch: FillSketch,
-) -> FillIns {
-    // Per pivot k: factor D_kk, triangular-solve the panels, and form the
-    // products (or their union samples).
-    let per_pivot: Vec<PivotFills> = (0..nb)
-        .into_par_iter()
-        .map(|k| fillin_pivot(k, &neighbours[k], &dense_block, sample_cols, sketch))
-        .collect();
-    accumulate_fillins(nb, &per_pivot)
-}
-
-/// Deterministic accumulation stage of [`precompute_fillins`]: per-row and
-/// per-column block lists in fixed (pivot, target) order, so the concatenated
-/// basis-QR inputs never depend on scheduling.  Sampled-mode pivots keep their
-/// samples as separate blocks — rather than summing them — preserving the
-/// relative magnitudes the basis QR's tolerance cut relies on; the extra input
-/// width is absorbed by the sketched compression.
-pub fn accumulate_fillins(nb: usize, per_pivot: &[PivotFills]) -> FillIns {
-    let mut out = FillIns {
-        count: per_pivot.iter().map(|p| p.count).sum(),
-        ..FillIns::default()
-    };
-    for t in 0..nb {
-        let rows = row_fills_from(t, per_pivot.iter());
-        if !rows.is_empty() {
-            out.row_fills.insert(t, rows);
-        }
-        let cols = col_fills_from(t, per_pivot.iter());
-        if !cols.is_empty() {
-            out.col_fills.insert(t, cols);
-        }
-    }
-    out
-}
-
 /// Horizontal concatenation of a pivot's panel pieces into one `rows x ΣN_j`
 /// block (SRFT fill path: the transform mixes the union panel directly).
 fn hconcat<'a>(rows: usize, blocks: impl Iterator<Item = &'a Matrix>) -> Matrix {
@@ -339,7 +272,7 @@ fn hconcat<'a>(rows: usize, blocks: impl Iterator<Item = &'a Matrix>) -> Matrix 
 
 /// SRFT sample of a fill union panel: `c` mixed columns when the panel is wide
 /// enough for mixing to reduce it, the panel itself otherwise.  Either way the
-/// result is scaled by [`fill_sample_scale`] — the SRFT's effective test
+/// result is scaled by [`FILL_SAMPLE_SCALE`] — the SRFT's effective test
 /// vectors are unit norm (the transform is orthonormal up to subsampling),
 /// exactly like [`gaussian_like`]'s normalized columns before the same weight.
 /// Mixing runs in f64 even for the f32 compression pipeline: the sample feeds
@@ -351,27 +284,17 @@ fn srft_fill_sample(panel: &Matrix, c: usize, seed: u64) -> Matrix {
     } else {
         panel.clone()
     };
-    let scale = fill_sample_scale();
     for v in out.as_mut_slice() {
-        *v *= scale;
+        *v *= FILL_SAMPLE_SCALE;
     }
     out
 }
 
-/// Weight applied to every fill-sample test column (see [`gaussian_like`]);
-/// `H2_FILL_SCALE` overrides for accuracy/cost experiments, parsed once.
-fn fill_sample_scale() -> f64 {
-    static SCALE: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *SCALE.get_or_init(|| {
-        std::env::var("H2_FILL_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(4.0)
-    })
-}
+/// Weight applied to every fill-sample test column (see [`gaussian_like`]).
+const FILL_SAMPLE_SCALE: f64 = 4.0;
 
 /// A cheap deterministic pseudo-Gaussian test matrix (sum of four uniforms) with
-/// columns normalized to the fixed norm [`fill_sample_scale`] (default 4).  A
+/// columns normalized to the fixed norm [`FILL_SAMPLE_SCALE`].  A
 /// sampled column `F ω` is then a controlled multiple of `F` applied to a unit
 /// vector: normalizing keeps fill samples on a scale comparable to the far-field
 /// columns they are concatenated with (the basis QR's tolerance rank compares
@@ -385,41 +308,16 @@ fn gaussian_like(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut m = Matrix::from_fn(rows, cols, |_, _| {
         (0..4).map(|_| rng.gen_range(-0.5..0.5)).sum::<f64>()
     });
-    let scale = fill_sample_scale();
     for j in 0..cols {
         let col = m.col_mut(j);
         let norm = col.iter().map(|v| v * v).sum::<f64>().sqrt();
         if norm > 0.0 {
             for v in col.iter_mut() {
-                *v *= scale / norm;
+                *v *= FILL_SAMPLE_SCALE / norm;
             }
         }
     }
     m
-}
-
-impl FillIns {
-    /// Horizontal concatenation of all row fill-ins of row `i` (empty matrix if none).
-    pub fn row_concat(&self, i: usize, rows: usize) -> Matrix {
-        match self.row_fills.get(&i) {
-            Some(list) => {
-                let refs: Vec<&Matrix> = list.iter().collect();
-                Matrix::hcat_all(&refs)
-            }
-            None => Matrix::zeros(rows, 0),
-        }
-    }
-
-    /// Horizontal concatenation of all column fill-ins (transposed blocks) of column `j`.
-    pub fn col_concat(&self, j: usize, rows: usize) -> Matrix {
-        match self.col_fills.get(&j) {
-            Some(list) => {
-                let refs: Vec<&Matrix> = list.iter().collect();
-                Matrix::hcat_all(&refs)
-            }
-            None => Matrix::zeros(rows, 0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -427,6 +325,7 @@ mod tests {
     use super::*;
     use h2_matrix::{fro_norm, lu_solve_mat, rel_fro_error};
     use rand::SeedableRng;
+    use std::collections::HashMap;
 
     /// Build a block matrix with a tridiagonal dense pattern and return its blocks.
     fn tridiag_blocks(nb: usize, m: usize) -> HashMap<(usize, usize), Matrix> {
@@ -449,83 +348,83 @@ mod tests {
         blocks
     }
 
+    /// Exact-mode contributions of every pivot, in pivot order — what the fused
+    /// graph's fill tasks leave for the basis tasks to accumulate.
+    fn exact_fills(
+        neighbours: &[Vec<usize>],
+        blocks: &HashMap<(usize, usize), Matrix>,
+    ) -> Vec<PivotFills> {
+        (0..neighbours.len())
+            .map(|k| {
+                fillin_pivot(
+                    k,
+                    &neighbours[k],
+                    &|i, j| blocks[&(i, j)].clone(),
+                    None,
+                    FillSketch::Gaussian,
+                )
+            })
+            .collect()
+    }
+
+    fn tridiag_neighbours(nb: usize) -> Vec<Vec<usize>> {
+        (0..nb)
+            .map(|i| (0..nb).filter(|&j| j != i && i.abs_diff(j) <= 1).collect())
+            .collect()
+    }
+
     #[test]
     fn fillins_match_exact_schur_complement() {
         let nb = 4;
         let m = 8;
         let blocks = tridiag_blocks(nb, m);
-        let neighbours: Vec<Vec<usize>> = (0..nb)
-            .map(|i| (0..nb).filter(|&j| j != i && i.abs_diff(j) <= 1).collect())
-            .collect();
-        let fills = precompute_fillins(
-            nb,
-            &neighbours,
-            |i, j| blocks[&(i, j)].clone(),
-            None,
-            FillSketch::Gaussian,
-        );
+        let fills = exact_fills(&tridiag_neighbours(nb), &blocks);
         // Eliminating block 1 creates fill-in at (0, 2) equal to D_01 D_11^{-1} D_12.
         let d11 = &blocks[&(1, 1)];
         let lu = lu_factor(d11).unwrap();
         let expect = matmul(&blocks[&(0, 1)], &lu_solve_mat(&lu, &blocks[&(1, 2)]));
         // Find that fill among row 0's fills: one of them must match.
-        let row0 = fills.row_fills.get(&0).expect("row 0 must have fills");
+        let row0 = row_fills_from(0, fills.iter());
         let found = row0.iter().any(|f| rel_fro_error(f, &expect) < 1e-10);
         assert!(
             found,
             "exact fill-in D_01 D_11^-1 D_12 not found among row 0 fills"
         );
-        assert!(fills.count > 0);
         // Column fills mirror the row fills (one accumulated block per target pair),
         // and accumulation can only reduce the number of stored blocks.
-        let total_row: usize = fills.row_fills.values().map(|v| v.len()).sum();
-        let total_col: usize = fills.col_fills.values().map(|v| v.len()).sum();
+        let count: usize = fills.iter().map(|p| p.count).sum();
+        let total_row: usize = (0..nb).map(|t| row_fills_from(t, fills.iter()).len()).sum();
+        let total_col: usize = (0..nb).map(|t| col_fills_from(t, fills.iter()).len()).sum();
         assert_eq!(total_row, total_col);
-        assert!(total_row <= fills.count);
+        assert!(total_row <= count);
         assert!(total_row > 0);
     }
 
     #[test]
-    fn concatenation_helpers() {
+    fn accumulated_fills_have_the_target_rows_height() {
         let nb = 3;
         let m = 6;
         let blocks = tridiag_blocks(nb, m);
-        let neighbours: Vec<Vec<usize>> = (0..nb)
-            .map(|i| (0..nb).filter(|&j| j != i && i.abs_diff(j) <= 1).collect())
-            .collect();
-        let fills = precompute_fillins(
-            nb,
-            &neighbours,
-            |i, j| blocks[&(i, j)].clone(),
-            None,
-            FillSketch::Gaussian,
-        );
-        let c = fills.row_concat(0, m);
+        let fills = exact_fills(&tridiag_neighbours(nb), &blocks);
+        let row0 = row_fills_from(0, fills.iter());
+        assert!(!row0.is_empty());
+        let refs: Vec<&Matrix> = row0.iter().collect();
+        let c = Matrix::hcat_all(&refs);
         assert_eq!(c.rows(), m);
         assert!(c.cols() > 0);
         assert!(fro_norm(&c) > 0.0);
-        // A row with no fills yields an empty matrix of the right height.
-        let empty = fills.row_concat(99, m);
-        assert_eq!(empty.shape(), (m, 0));
-        let emptyc = fills.col_concat(99, m);
-        assert_eq!(emptyc.shape(), (m, 0));
+        // A row no pivot touches has nothing to enrich its bases with.
+        assert!(row_fills_from(99, fills.iter()).is_empty());
+        assert!(col_fills_from(99, fills.iter()).is_empty());
     }
 
     #[test]
     fn isolated_blocks_produce_no_fillins() {
         // Diagonal-only pattern: no off-diagonal neighbours, hence no fill-ins.
         let nb = 3;
-        let m = 4;
-        let blocks = tridiag_blocks(nb, m);
-        let neighbours: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let fills = precompute_fillins(
-            nb,
-            &neighbours,
-            |i, j| blocks[&(i, j)].clone(),
-            None,
-            FillSketch::Gaussian,
-        );
-        assert_eq!(fills.count, 0);
-        assert!(fills.row_fills.is_empty());
+        let blocks = tridiag_blocks(nb, 4);
+        let fills = exact_fills(&vec![Vec::new(); nb], &blocks);
+        assert!(fills.iter().all(|p| p.count == 0));
+        assert!((0..nb).all(|t| row_fills_from(t, fills.iter()).is_empty()));
     }
 }

@@ -13,9 +13,10 @@
 //! | [`variants::h2_ulv_dep`]   | strong | multi-level | same bases, but sequential elimination with exact trailing updates | §II-D (ablation) |
 //!
 //! The factorization returns a [`ulv::UlvFactors`] object that solves linear systems
-//! in O(N) and records, per level, the task structure and flop counts needed by the
-//! scaling and trace figures ([`taskgraph`]), as well as the distributed cost model
-//! ([`dist`]).
+//! in O(N) and carries the task graph it executed — as recorded by
+//! `h2_runtime::live_scope`, with measured flops as task costs — which the scaling
+//! and trace figures replay ([`ulv::UlvFactors::task_graph`]), as well as the
+//! distributed cost model ([`dist`]).
 //!
 //! Accuracy is always measured the way the paper does (§IV-A): the relative L2 error
 //! of the structured solution against a dense LU solution of the same matrix
@@ -29,7 +30,6 @@ pub mod fillin;
 pub mod options;
 pub mod session;
 pub mod solve;
-pub mod taskgraph;
 pub mod ulv;
 pub mod variants;
 

@@ -2,7 +2,7 @@
 //!
 //! One engine implements the whole family (BLR²-ULV, HSS-ULV, H²-ULV with/without
 //! trailing dependencies); the options select admissibility, hierarchy and scheduling.
-//! The algorithm per level (leaf → root) follows §II–III of the paper and DESIGN.md §2:
+//! The algorithm per level (leaf → root) follows §II–III of the paper:
 //!
 //! 1. **fill-in pre-computation** per pivot of the level's dense blocks
 //!    (strong admissibility only) — [`crate::fillin`];
@@ -20,9 +20,10 @@
 //!
 //! # One fused task graph
 //!
-//! The whole pipeline — H² construction (fill-in, basis, coupling tasks) *and*
-//! ULV elimination (transform, pivot, Schur, merge tasks) of **every** level —
-//! is registered up front as one live task graph ([`h2_runtime::live_scope`])
+//! The whole pipeline — H² construction (leaf assembly, fill-in, basis, coupling
+//! tasks) *and* ULV elimination (transform, pivot, Schur, merge tasks) of
+//! **every** level — is registered up front as one live task graph
+//! ([`h2_runtime::live_scope`])
 //! with per-edge dependency release.  There is no per-level barrier: a cluster
 //! of level `L-1` starts compressing its basis the moment its two children's
 //! surviving blocks were merged, while other subtrees of level `L` are still
@@ -37,13 +38,14 @@
 //! factors at any thread count: every task writes one slot, and every
 //! accumulation order is fixed by the symbolic plan, never by scheduling.
 //!
-//! The factorization records a task graph (costs + dependencies) so the scheduler
-//! simulator can replay it on any number of virtual cores, and a per-task-class
-//! time breakdown including the measured construction↔factorization overlap
-//! fraction ([`TaskClassBreakdown`]).
+//! Every task reports the flops it performed as its cost, and `live_scope` hands
+//! back the graph it executed — that record, unedited, is
+//! [`UlvFactors::task_graph`], which the scheduler simulator replays on any number
+//! of virtual cores.  Next to it sits a per-task-class time breakdown including the
+//! measured construction↔factorization overlap fraction ([`TaskClassBreakdown`]).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -56,11 +58,9 @@ use h2_matrix::{
     pivoted_qr, pivoted_qr_stop_batch, select_interpolation_rows, Lu, Matrix, PivotedQr,
     SolverError, SolverResult, INTERP_COND_TOL,
 };
-use rayon::prelude::*;
 
 use crate::fillin::{col_fills_from, fillin_pivot, row_fills_from, FillSketch, PivotFills};
 use crate::options::{FactorOptions, Hierarchy, Schedule, Variant};
-use crate::taskgraph::FactorTaskGraph;
 use h2_runtime::{live_scope, LiveScope, TaskGraph, TaskId, TaskKind, ThreadPool};
 
 /// Per-cluster factor data at one level.
@@ -256,7 +256,9 @@ pub struct UlvFactors {
     pub root_clusters: usize,
     /// Run statistics.
     pub stats: FactorStats,
-    /// Task graph of the factorization (for the scheduler simulator).
+    /// The task graph this factorization executed, as recorded by
+    /// [`h2_runtime::live_scope`]: one node per task that ran, its dependency
+    /// edges, and the flops its body counted as cost.
     pub task_graph: TaskGraph,
     /// Number of refinement-ladder escalations taken by
     /// [`UlvFactors::solve_to_tolerance`] beyond its first rung.
@@ -292,7 +294,11 @@ const CLASS_SCHUR: usize = 5;
 const CLASS_MERGE: usize = 6;
 const CLASS_MAP: usize = 7;
 const CLASS_ROOT: usize = 8;
-const CLASS_COUNT: usize = 9;
+/// Leaf dense-block assembly: metered like a class, reported as a construction
+/// phase ([`PhaseBreakdown::assembly_seconds`]) rather than a
+/// [`TaskClassBreakdown`] field.
+const CLASS_ASSEMBLY: usize = 9;
+const CLASS_COUNT: usize = 10;
 
 // Construction sub-phases, indexing [`LevelArena::phase_nanos`].
 const PH_ASSEMBLY: usize = 0;
@@ -304,6 +310,7 @@ const PH_TRANSFER: usize = 3;
 // first when several tasks are ready, which keeps the fused pipeline flowing
 // leaf-to-root.  Priorities only steer the scheduler; correctness and the
 // factor bits depend solely on the dependency edges.
+const STAGE_ASSEMBLY: usize = 7;
 const STAGE_FILL: usize = 7;
 const STAGE_BASIS: usize = 6;
 const STAGE_COUPLING: usize = 5;
@@ -317,6 +324,14 @@ const STAGE_MERGE: usize = 1;
 /// within a level the pipeline runs fill → basis → … → merge.
 fn prio(level: usize, stage: usize) -> f64 {
     (level * 8 + stage) as f64
+}
+
+/// Whether a task class belongs to H² construction (the rest is elimination).
+fn is_construction(class: usize) -> bool {
+    matches!(
+        class,
+        CLASS_ASSEMBLY | CLASS_FILL | CLASS_BASIS | CLASS_COUPLING
+    )
 }
 
 /// Per-class accounting for DAG tasks: CPU nanoseconds (for attributing the
@@ -394,11 +409,12 @@ impl GraphMeters {
     }
 
     /// Credit a task region started by [`ClassMeter::begin`] to `class`, cover
-    /// the matching group span, and (when the task belongs to a level) feed the
-    /// level's trace counters.
-    fn finish(&self, class: usize, begun: (Instant, u64), arena: Option<&LevelArena>) {
+    /// the matching group span, and report the region's flops as the running
+    /// task's cost in the recorded graph.
+    fn finish(&self, scope: &LiveScope<'_>, class: usize, begun: (Instant, u64)) {
         let nanos = begun.0.elapsed().as_nanos() as u64;
         let flops = h2_matrix::flops::thread_flop_count() - begun.1;
+        scope.report_cost(flops as f64);
         self.classes[class]
             .nanos
             .fetch_add(nanos, Ordering::Relaxed);
@@ -406,23 +422,12 @@ impl GraphMeters {
             .flops
             .fetch_add(flops, Ordering::Relaxed);
         let start = begun.0.saturating_duration_since(self.t0).as_nanos() as u64;
-        let span = if matches!(class, CLASS_FILL | CLASS_BASIS | CLASS_COUPLING) {
+        let span = if is_construction(class) {
             &self.construction
         } else {
             &self.factorization
         };
         span.cover(start, start + nanos);
-        if let Some(a) = arena {
-            match class {
-                CLASS_FILL => {
-                    a.fill_nanos.fetch_add(nanos, Ordering::Relaxed);
-                }
-                CLASS_TRANSFORM | CLASS_PIVOT | CLASS_SCHUR | CLASS_MERGE | CLASS_MAP => {
-                    a.elim_nanos.fetch_add(nanos, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
     }
 
     fn nanos_of(&self, class: usize) -> u64 {
@@ -482,8 +487,6 @@ struct BasisOut {
     cap_hits: usize,
     /// Recovery-ladder escalations this cluster's compression went through.
     recovery: RecoveryEvents,
-    /// Total columns of the row-side fill-in enrichment (task-graph reporting).
-    fill_cols: usize,
     row_interp: Option<SkeletonSide>,
     col_interp: Option<SkeletonSide>,
 }
@@ -608,6 +611,14 @@ struct LevelPlan {
     sample_cols: Option<usize>,
 }
 
+/// Union sample width of the sampled fill-in path on the f64 pipelines: keeps
+/// bench residuals at or below the exact-fill reference across the sweep.
+const FILL_SAMPLE_F64: usize = 128;
+/// Union sample width on the mixed-precision SRFT pipeline, which only needs
+/// the dominant fill directions — its solves run iterative refinement, which
+/// mops up the tail.
+const FILL_SAMPLE_F32: usize = 64;
+
 /// Construct the symbolic plans of every processed level, leaf first.
 fn build_plans(
     partition: &BlockPartition,
@@ -639,24 +650,11 @@ fn build_plans(
         };
         // In sampled construction mode the fill-in column/row spaces are
         // captured through random test matrices instead of forming every
-        // product exactly; `H2_FILL_SAMPLE` overrides the union sample width
-        // for accuracy/cost experiments.  The f64 paths use 128, which keeps
-        // bench residuals at or below the exact-fill reference across the
-        // sweep.  The mixed-precision SRFT path only needs the dominant fill
-        // directions — its solves run iterative refinement, which mops up the
-        // tail — so it samples 64.
-        let default_fill = match fill_sketch {
-            FillSketch::Srft(h2_lowrank::SketchPrecision::F32) => 64,
-            _ => 128,
-        };
-        let sample_cols = match opts.basis_mode {
-            h2_hmatrix::BasisMode::Exact => None,
-            h2_hmatrix::BasisMode::Sampled { .. } => Some(
-                std::env::var("H2_FILL_SAMPLE")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(default_fill),
-            ),
+        // product exactly.
+        let sample_cols = match (opts.basis_mode, fill_sketch) {
+            (h2_hmatrix::BasisMode::Exact, _) => None,
+            (_, FillSketch::Srft(h2_lowrank::SketchPrecision::F32)) => Some(FILL_SAMPLE_F32),
+            _ => Some(FILL_SAMPLE_F64),
         };
         let mut pivots_of: Vec<Vec<usize>> = vec![Vec::new(); nb];
         if do_fills {
@@ -835,7 +833,8 @@ struct LevelArena {
     row_map: Vec<OnceLock<Option<Matrix>>>,
     /// Accumulated column map per cluster.
     col_map: Vec<OnceLock<Option<Matrix>>>,
-    /// Dense input blocks, aligned with `plan.dense_cand`.
+    /// Dense input blocks, aligned with `plan.dense_cand` (leaf: set by the
+    /// assembly tasks; above: by the merges).
     dense_in: Vec<OnceLock<Option<Matrix>>>,
     /// Merged carries addressed to admissible pairs, aligned with `plan.admissible`.
     adm_in: Vec<OnceLock<Option<Matrix>>>,
@@ -855,10 +854,6 @@ struct LevelArena {
     ss: Vec<OnceLock<Option<Matrix>>>,
     /// Construction sub-phase CPU nanoseconds (assembly/compression/coupling/transfer).
     phase_nanos: [AtomicU64; 4],
-    /// CPU nanoseconds of the level's fill tasks (`H2_TRACE_LEVELS`).
-    fill_nanos: AtomicU64,
-    /// CPU nanoseconds of the level's elimination-side tasks (`H2_TRACE_LEVELS`).
-    elim_nanos: AtomicU64,
 }
 
 impl LevelArena {
@@ -882,8 +877,6 @@ impl LevelArena {
                 AtomicU64::new(0),
                 AtomicU64::new(0),
             ],
-            fill_nanos: AtomicU64::new(0),
-            elim_nanos: AtomicU64::new(0),
         }
     }
 }
@@ -902,7 +895,7 @@ struct LevelTasks {
     ss: Vec<TaskId>,
     /// Producer of this level's `row_map`/`col_map`/`active` slots per cluster.
     map_prod: Vec<Option<TaskId>>,
-    /// Producer of each `dense_in` slot (`None` = preset).
+    /// Producer of each `dense_in` slot (`None` = preset absent).
     dense_prod: Vec<Option<TaskId>>,
     /// Producer of each `adm_in` slot (`None` = preset).
     adm_prod: Vec<Option<TaskId>>,
@@ -947,6 +940,8 @@ struct RegisterCtx<'env> {
     arenas: &'env [LevelArena],
     meters: &'env GraphMeters,
     root_out: &'env OnceLock<SolverResult<RootOut>>,
+    /// Lowest `dense_cand` index of a non-finite leaf block (`usize::MAX` = none).
+    bad_leaf_block: &'env AtomicUsize,
 }
 
 /// Sort + dedup a dependency list (duplicate edges are legal but wasteful).
@@ -1023,7 +1018,6 @@ impl UlvFactorization {
         let partition = analysis.partition();
         let depth = tree.depth;
         let mut stats = FactorStats::default();
-        let mut tg = FactorTaskGraph::new();
 
         // Degenerate case: a single leaf is just a dense factorization.
         if depth == 0 {
@@ -1047,7 +1041,9 @@ impl UlvFactorization {
             stats.factorization_seconds = t1.elapsed().as_secs_f64();
             stats.factorization_flops = flop_count() - f0;
             stats.root_dim = a.rows();
-            tg.add_root_task(a.rows());
+            // No pool, no graph run: the record is the one dense LU.
+            let mut task_graph = TaskGraph::new();
+            task_graph.add_task(TaskKind::Factor, stats.factorization_flops as f64, &[]);
             return Ok(UlvFactors {
                 tree: analysis.tree_handle(),
                 options: *opts,
@@ -1056,7 +1052,7 @@ impl UlvFactorization {
                 root_offsets: vec![0],
                 root_clusters: 1,
                 stats,
-                task_graph: tg.finish(),
+                task_graph,
                 refine_escalations: AtomicU64::new(0),
             });
         }
@@ -1069,55 +1065,21 @@ impl UlvFactorization {
         let plans = build_plans(partition, opts, depth, last_level);
         let arenas: Vec<LevelArena> = plans.iter().map(LevelArena::new).collect();
 
-        // Assemble the leaf-level dense (neighbour) blocks from the kernel and
-        // preset every slot that has no producer task: leaf maps are the
+        // Preset every slot that has no producer task: leaf maps are the
         // identity, leaf actives are the cluster sizes, leaf admissible pairs
         // carry nothing, and upper-level candidates no merge targets are
-        // runtime-absent.
-        let tcon0 = Instant::now();
-        let fcon0 = flop_count();
+        // runtime-absent.  (The leaf dense blocks are assembled by tasks.)
         {
             let leaf_clusters = tree.clusters_at_level(depth);
-            let plan0 = &plans[0];
-            let blocks: Vec<(usize, Matrix)> = (0..plan0.dense_cand.len())
-                .into_par_iter()
-                .map(|x| {
-                    let (i, j) = plan0.dense_cand[x];
-                    (
-                        x,
-                        kernel.assemble(
-                            &tree.points,
-                            tree.original_indices(&leaf_clusters[i]),
-                            tree.original_indices(&leaf_clusters[j]),
-                        ),
-                    )
-                })
-                .collect();
-            for (x, m) in blocks {
-                let (i, j) = plan0.dense_cand[x];
-                if !matrix_is_finite(&m) {
-                    return Err(SolverError::NonFiniteInput {
-                        context: format!(
-                            "dense leaf block ({i}, {j}) contains non-finite kernel values"
-                        ),
-                    });
-                }
-                let _ = arenas[0].dense_in[x].set(Some(m));
-            }
-            for i in 0..plan0.nb {
+            for i in 0..plans[0].nb {
                 let _ = arenas[0].active[i].set(leaf_clusters[i].len);
                 let _ = arenas[0].row_map[i].set(None);
                 let _ = arenas[0].col_map[i].set(None);
             }
-            for x in 0..plan0.admissible.len() {
+            for x in 0..plans[0].admissible.len() {
                 let _ = arenas[0].adm_in[x].set(None);
             }
         }
-        let leaf_assembly_wall = tcon0.elapsed().as_secs_f64();
-        stats.construction_seconds += leaf_assembly_wall;
-        stats.phases.assembly_seconds += leaf_assembly_wall;
-        stats.phases.assembly_wall_seconds += leaf_assembly_wall;
-        stats.construction_flops += flop_count() - fcon0;
         for (plan, arena) in plans.iter().zip(arenas.iter()).skip(1) {
             for (x, produced) in plan.dense_produced.iter().enumerate() {
                 if !produced {
@@ -1137,6 +1099,7 @@ impl UlvFactorization {
         let pool = ThreadPool::new(h2_runtime::resolve_num_threads(opts.num_threads));
         let meters = GraphMeters::new();
         let root_out: OnceLock<SolverResult<RootOut>> = OnceLock::new();
+        let bad_leaf_block = AtomicUsize::new(usize::MAX);
         let schedule = opts.schedule.resolve();
         let ctx = RegisterCtx {
             kernel,
@@ -1147,9 +1110,10 @@ impl UlvFactorization {
             arenas: &arenas,
             meters: &meters,
             root_out: &root_out,
+            bad_leaf_block: &bad_leaf_block,
         };
         let tgraph = Instant::now();
-        live_scope(&pool, |scope| {
+        let ((), task_graph) = live_scope(&pool, |scope| {
             let mut tasks: Vec<LevelTasks> = plans.iter().map(LevelTasks::new).collect();
             let mut gate: Option<TaskId> = None;
             for t in 0..nlev {
@@ -1182,21 +1146,26 @@ impl UlvFactorization {
         // errors surface in deterministic cluster / pair order regardless of
         // scheduling.  An unset slot with no prior error is an internal
         // invariant violation and reported as such — never a panic.
+        if let Some(&(i, j)) = plans[0]
+            .dense_cand
+            .get(bad_leaf_block.load(Ordering::Relaxed))
+        {
+            return Err(SolverError::NonFiniteInput {
+                context: format!("dense leaf block ({i}, {j}) contains non-finite kernel values"),
+            });
+        }
         let mut arenas = arenas;
         let mut levels: Vec<LevelFactor> = Vec::with_capacity(nlev);
         for (plan, arena) in plans.iter().zip(arenas.iter_mut()) {
             let level = plan.level;
             let nb = plan.nb;
-            tg.begin_level(level, nb);
             let mut cluster_factors: Vec<ClusterFactor> = Vec::with_capacity(nb);
-            let mut fill_cols_per: Vec<usize> = Vec::with_capacity(nb);
             let mut level_cap_hits = 0usize;
             for i in 0..nb {
                 match arena.basis[i].take() {
                     Some(Ok(out)) => {
                         level_cap_hits += out.cap_hits;
                         stats.recovery.absorb(out.recovery);
-                        fill_cols_per.push(out.fill_cols);
                         cluster_factors.push(out.cf);
                     }
                     Some(Err(e)) => return Err(e),
@@ -1247,10 +1216,6 @@ impl UlvFactorization {
                 }
             }
 
-            // Record the analytic task graph (for the scheduler simulator) and ranks.
-            for (i, cf) in cluster_factors.iter().enumerate() {
-                tg.add_basis_task(cf.active, cf.active.saturating_mul(2), fill_cols_per[i]);
-            }
             let level_max_rank = cluster_factors
                 .iter()
                 .map(|c| c.skeleton)
@@ -1259,24 +1224,6 @@ impl UlvFactorization {
             stats.level_ranks.push(level_max_rank);
             stats.level_cap_hits.push(level_cap_hits);
             stats.max_rank = stats.max_rank.max(level_max_rank);
-            let basis_ids = tg.current_basis_tasks().to_vec();
-            for res in &pivot_results {
-                let k = res.k;
-                let mut deps = vec![basis_ids[k]];
-                for &j in &plan.neighbours[k] {
-                    deps.push(basis_ids[j]);
-                }
-                tg.add_elimination_task(
-                    opts.variant,
-                    cluster_factors[k].redundant,
-                    cluster_factors[k].active,
-                    plan.neighbours[k].len(),
-                    &deps,
-                );
-            }
-            let skeleton_total: usize = cluster_factors.iter().map(|c| c.skeleton).sum();
-            tg.end_level(skeleton_total);
-
             let mut row_rr = HashMap::new();
             let mut row_rs = HashMap::new();
             let mut col_rr = HashMap::new();
@@ -1297,20 +1244,6 @@ impl UlvFactorization {
                 }
             }
 
-            // Per-level stage attribution for performance work
-            // (`H2_TRACE_LEVELS=1`): CPU seconds of each in-task phase.
-            if std::env::var("H2_TRACE_LEVELS").is_ok() {
-                eprintln!(
-                    "level {level:2} nb {nb:4}: fill {:7.3}s  asm {:7.3}s  cmp {:7.3}s  cpl {:7.3}s  xfer {:7.3}s  elim {:7.3}s",
-                    arena.fill_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-                    arena.phase_nanos[PH_ASSEMBLY].load(Ordering::Relaxed) as f64 / 1e9,
-                    arena.phase_nanos[PH_COMPRESSION].load(Ordering::Relaxed) as f64 / 1e9,
-                    arena.phase_nanos[PH_COUPLING].load(Ordering::Relaxed) as f64 / 1e9,
-                    arena.phase_nanos[PH_TRANSFER].load(Ordering::Relaxed) as f64 / 1e9,
-                    arena.elim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-                );
-            }
-
             levels.push(LevelFactor {
                 level,
                 nb,
@@ -1326,7 +1259,6 @@ impl UlvFactorization {
         let (root_lu, root_offsets, root_clusters) = match root_out.into_inner() {
             Some(Ok(r)) => {
                 stats.root_dim = r.dim;
-                tg.add_root_task(r.dim);
                 (r.lu, r.offsets, r.clusters)
             }
             Some(Err(e)) => return Err(e),
@@ -1342,32 +1274,25 @@ impl UlvFactorization {
         // wall-clock span; split the span proportionally to the CPU time each
         // group consumed.  The flop counts need no such estimate: every task
         // samples the thread-local counter, so the per-class sums are exact.
-        let con_n = meters.nanos_of(CLASS_FILL)
-            + meters.nanos_of(CLASS_BASIS)
-            + meters.nanos_of(CLASS_COUPLING);
-        let fac_n = meters.nanos_of(CLASS_TRANSFORM)
-            + meters.nanos_of(CLASS_PIVOT)
-            + meters.nanos_of(CLASS_SCHUR)
-            + meters.nanos_of(CLASS_MERGE)
-            + meters.nanos_of(CLASS_MAP)
-            + meters.nanos_of(CLASS_ROOT);
+        let (mut con_n, mut fac_n) = (0u64, 0u64);
+        for class in 0..CLASS_COUNT {
+            if is_construction(class) {
+                con_n += meters.nanos_of(class);
+                stats.construction_flops += meters.flops_of(class);
+            } else {
+                fac_n += meters.nanos_of(class);
+                stats.factorization_flops += meters.flops_of(class);
+            }
+        }
         let con_frac = con_n as f64 / ((con_n + fac_n).max(1)) as f64;
         stats.construction_seconds += graph_wall * con_frac;
         stats.factorization_seconds += graph_wall * (1.0 - con_frac);
-        stats.construction_flops += meters.flops_of(CLASS_FILL)
-            + meters.flops_of(CLASS_BASIS)
-            + meters.flops_of(CLASS_COUPLING);
-        stats.factorization_flops += meters.flops_of(CLASS_TRANSFORM)
-            + meters.flops_of(CLASS_PIVOT)
-            + meters.flops_of(CLASS_SCHUR)
-            + meters.flops_of(CLASS_MERGE)
-            + meters.flops_of(CLASS_MAP)
-            + meters.flops_of(CLASS_ROOT);
 
         // Construction sub-phase attribution: once as exact CPU work and once
         // attributed to the graph's wall clock in proportion to the CPU share
         // each phase consumed of the graph's total task time.  Fill-in
-        // pre-computation counts as compression, as it always has.
+        // pre-computation counts as compression, as it always has, and the
+        // leaf assembly tasks as assembly.
         let span_nanos = ((con_n + fac_n).max(1)) as f64;
         let mut ph = [0u64; 4];
         for arena in &arenas {
@@ -1376,6 +1301,7 @@ impl UlvFactorization {
             }
         }
         ph[PH_COMPRESSION] += meters.nanos_of(CLASS_FILL);
+        ph[PH_ASSEMBLY] += meters.nanos_of(CLASS_ASSEMBLY);
         let phase_split = |p: usize| {
             let cpu = ph[p];
             (cpu as f64 / 1e9, graph_wall * cpu as f64 / span_nanos)
@@ -1417,7 +1343,7 @@ impl UlvFactorization {
             root_offsets,
             root_clusters,
             stats,
-            task_graph: tg.finish(),
+            task_graph,
             refine_escalations: AtomicU64::new(0),
         };
         factors.stats.memory_words = factors.memory_words();
@@ -1461,6 +1387,48 @@ fn register_level<'env>(
     let clusters = tree.clusters_at_level(level);
     let leaf_level = level == tree.depth;
 
+    // ---- leaf assembly tasks: one per block row of dense leaf blocks -------
+    // A non-finite block leaves its slot (and the rest of its row) unset, so
+    // dependents degrade to no-ops; the collection pass reports the first such
+    // block in block order.
+    if leaf_level {
+        for i in 0..nb {
+            if plan.row_dense[i].is_empty() {
+                continue;
+            }
+            let bomb = h2_matrix::fault::task_panic_armed();
+            let bad_leaf_block = ctx.bad_leaf_block;
+            let id = scope.submit(
+                TaskKind::Other,
+                prio(level, STAGE_ASSEMBLY),
+                &[],
+                move |me| {
+                    if bomb {
+                        panic!("injected task panic (H2_FAULT=task_panic)");
+                    }
+                    let begun = ClassMeter::begin();
+                    for &x in &plan.row_dense[i] {
+                        let m = kernel.assemble(
+                            &tree.points,
+                            tree.original_indices(&clusters[i]),
+                            tree.original_indices(&clusters[plan.dense_cand[x].1]),
+                        );
+                        if !matrix_is_finite(&m) {
+                            bad_leaf_block.fetch_min(x, Ordering::Relaxed);
+                            break;
+                        }
+                        let _ = arena.dense_in[x].set(Some(m));
+                    }
+                    meters.finish(me, CLASS_ASSEMBLY, begun);
+                },
+            );
+            for &x in &plan.row_dense[i] {
+                cur.dense_prod[x] = Some(id);
+            }
+            cur.all.push(id);
+        }
+    }
+
     // ---- fill tasks: fill-in pre-computation, one per pivot with neighbours
     if plan.do_fills {
         for k in 0..nb {
@@ -1490,7 +1458,7 @@ fn register_level<'env>(
                 TaskKind::Compress,
                 prio(level, STAGE_FILL),
                 &deps,
-                move |_| {
+                move |me| {
                     if bomb {
                         panic!("injected task panic (H2_FAULT=task_panic)");
                     }
@@ -1531,7 +1499,7 @@ fn register_level<'env>(
                         let _ = arena.fill[k].set(pf);
                     };
                     run();
-                    meters.finish(CLASS_FILL, begun, Some(arena));
+                    meters.finish(me, CLASS_FILL, begun);
                 },
             );
             cur.fill[k] = Some(id);
@@ -1571,7 +1539,7 @@ fn register_level<'env>(
             TaskKind::Basis,
             prio(level, STAGE_BASIS),
             &deps,
-            move |_| {
+            move |me| {
                 if bomb {
                     panic!("injected task panic (H2_FAULT=task_panic)");
                 }
@@ -1772,18 +1740,16 @@ fn register_level<'env>(
                     } else {
                         (None, None)
                     };
-                    let fill_cols: usize = row_fill_list.iter().map(|m| m.cols()).sum();
                     let _ = arena.basis[i].set(Ok(BasisOut {
                         cf,
                         cap_hits,
                         recovery,
-                        fill_cols,
                         row_interp,
                         col_interp,
                     }));
                 };
                 run();
-                meters.finish(CLASS_BASIS, begun, Some(arena));
+                meters.finish(me, CLASS_BASIS, begun);
             },
         );
         cur.basis.push(id);
@@ -1803,7 +1769,7 @@ fn register_level<'env>(
             TaskKind::Compress,
             prio(level, STAGE_COUPLING),
             &deps,
-            move |_| {
+            move |me| {
                 if bomb {
                     panic!("injected task panic (H2_FAULT=task_panic)");
                 }
@@ -1885,7 +1851,7 @@ fn register_level<'env>(
                     });
                 };
                 run();
-                meters.finish(CLASS_COUPLING, begun, Some(arena));
+                meters.finish(me, CLASS_COUPLING, begun);
             },
         );
         cur.coupling.push(id);
@@ -1911,7 +1877,7 @@ fn register_level<'env>(
             TaskKind::Update,
             prio(level, STAGE_TRANSFORM),
             &deps,
-            move |_| {
+            move |me| {
                 if bomb {
                     panic!("injected task panic (H2_FAULT=task_panic)");
                 }
@@ -1952,7 +1918,7 @@ fn register_level<'env>(
                     }
                 };
                 run();
-                meters.finish(CLASS_TRANSFORM, begun, Some(arena));
+                meters.finish(me, CLASS_TRANSFORM, begun);
             },
         );
         cur.row_transform[i] = Some(id);
@@ -1983,7 +1949,7 @@ fn register_level<'env>(
             TaskKind::Factor,
             prio(level, STAGE_PIVOT),
             &deps,
-            move |_| {
+            move |me| {
                 if bomb {
                     panic!("injected task panic (H2_FAULT=task_panic)");
                 }
@@ -2146,7 +2112,7 @@ fn register_level<'env>(
                     }
                 };
                 run();
-                meters.finish(CLASS_PIVOT, begun, Some(arena));
+                meters.finish(me, CLASS_PIVOT, begun);
             },
         );
         prev_pivot = Some(id);
@@ -2176,7 +2142,7 @@ fn register_level<'env>(
         deps.extend(gate);
         let deps = dedup_deps(deps);
         let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(TaskKind::Update, prio(level, STAGE_SS), &deps, move |_| {
+        let id = scope.submit(TaskKind::Update, prio(level, STAGE_SS), &deps, move |me| {
             if bomb {
                 panic!("injected task panic (H2_FAULT=task_panic)");
             }
@@ -2236,7 +2202,7 @@ fn register_level<'env>(
                 let _ = arena.ss[cx].set(entry);
             };
             run();
-            meters.finish(CLASS_SCHUR, begun, Some(arena));
+            meters.finish(me, CLASS_SCHUR, begun);
         });
         cur.ss.push(id);
         cur.all.push(id);
@@ -2255,7 +2221,7 @@ fn register_level<'env>(
                 deps.extend(gate);
                 let deps = dedup_deps(deps);
                 let bomb = h2_matrix::fault::task_panic_armed();
-                let id = scope.submit(TaskKind::Other, prio(level, STAGE_MAP), &deps, move |_| {
+                let id = scope.submit(TaskKind::Other, prio(level, STAGE_MAP), &deps, move |me| {
                     if bomb {
                         panic!("injected task panic (H2_FAULT=task_panic)");
                     }
@@ -2291,7 +2257,7 @@ fn register_level<'env>(
                         let _ = pa_arena.col_map[p].set(Some(col));
                     };
                     run();
-                    meters.finish(CLASS_MAP, begun, Some(arena));
+                    meters.finish(me, CLASS_MAP, begun);
                 });
                 pt.map_prod[p] = Some(id);
                 cur.all.push(id);
@@ -2319,7 +2285,7 @@ fn register_level<'env>(
             TaskKind::Update,
             prio(level, STAGE_MERGE),
             &deps,
-            move |scope_run| {
+            move |me| {
                 if bomb {
                     panic!("injected task panic (H2_FAULT=task_panic)");
                 }
@@ -2376,7 +2342,7 @@ fn register_level<'env>(
                             // dynamically, from inside the task that produced
                             // its input — the graph grows at runtime.
                             let bomb2 = h2_matrix::fault::task_panic_armed();
-                            scope_run.submit(TaskKind::Factor, 0.0, &[], move |_| {
+                            me.submit(TaskKind::Factor, 0.0, &[], move |me| {
                                 if bomb2 {
                                     panic!("injected task panic (H2_FAULT=task_panic)");
                                 }
@@ -2410,13 +2376,13 @@ fn register_level<'env>(
                                     })
                                 })();
                                 let _ = root_out.set(root_res);
-                                meters.finish(CLASS_ROOT, begun2, None);
+                                meters.finish(me, CLASS_ROOT, begun2);
                             });
                         }
                     }
                 };
                 run();
-                meters.finish(CLASS_MERGE, begun, Some(arena));
+                meters.finish(me, CLASS_MERGE, begun);
             },
         );
         match g.target {
@@ -2462,7 +2428,7 @@ fn register_single_level_root<'env>(
     deps.extend(gate);
     let deps = dedup_deps(deps);
     let bomb = h2_matrix::fault::task_panic_armed();
-    scope.submit(TaskKind::Factor, 0.0, &deps, move |_| {
+    scope.submit(TaskKind::Factor, 0.0, &deps, move |me| {
         if bomb {
             panic!("injected task panic (H2_FAULT=task_panic)");
         }
@@ -2510,7 +2476,7 @@ fn register_single_level_root<'env>(
         if let Some(r) = run() {
             let _ = root_out.set(r);
         }
-        meters.finish(CLASS_ROOT, begun, None);
+        meters.finish(me, CLASS_ROOT, begun);
     });
 }
 

@@ -175,3 +175,65 @@ fn task_panic_in_fused_graph_is_typed_and_pool_is_reusable() {
     let x = f.solve(&b).expect("solve after recovery");
     assert!(x.iter().all(|v| v.is_finite()));
 }
+
+#[test]
+fn task_graph_is_the_graph_that_ran() {
+    use h2_runtime::{simulate_schedule, SimConfig};
+    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let points = uniform_cube(1024, 17);
+    let tree = ClusterTree::build(&points, 64, PartitionStrategy::KMeans, 0);
+    let run = |schedule: Schedule, threads: usize| {
+        let opts = FactorOptions {
+            tol: 1e-7,
+            schedule,
+            num_threads: threads,
+            ..FactorOptions::default()
+        };
+        h2_ulv_nodep(&LaplaceKernel::default(), &tree, &opts).expect("factorization")
+    };
+    // `H2_SCHEDULE` (pinned by the CI matrix) overrides the option, in which
+    // case both runs take the same schedule and the gate count is zero.
+    let gates = |f: &UlvFactors| match std::env::var("H2_SCHEDULE") {
+        Ok(_) => 0,
+        Err(_) => f.levels.len(),
+    };
+
+    let fused = run(Schedule::Fused, 1);
+    let g = &fused.task_graph;
+    assert!(g.validate());
+    // Task costs are the flops the task bodies counted, so the graph's work
+    // is the run's flop total — exactly (integers well below 2^53).
+    let flops = fused.stats.construction_flops + fused.stats.factorization_flops;
+    assert!(flops > 0);
+    assert_eq!(g.total_work(), flops as f64);
+    // One worker executes the recorded work back to back.
+    let cfg = SimConfig {
+        workers: 1,
+        ..SimConfig::default()
+    };
+    let serial = g.total_work() / cfg.flops_per_second;
+    let simulated = simulate_schedule(g, &cfg).makespan;
+    assert!(
+        (simulated - serial).abs() <= 1e-9 * serial,
+        "P=1 makespan {simulated} vs total work / rate {serial}"
+    );
+    // The dynamically submitted root LU hangs off the merge that submitted it.
+    let root = g.iter().last().expect("non-empty graph");
+    assert_eq!(root.deps.len(), 1, "root depends on its submitter only");
+    assert!(root.cost > 0.0 && root.dependents.is_empty());
+
+    // The graph's shape is a function of the plan, never of the scheduling.
+    for threads in [2usize, 4] {
+        let f = run(Schedule::Fused, threads);
+        assert_eq!(f.task_graph.len(), g.len(), "{threads} threads");
+        assert_eq!(
+            f.task_graph.total_work(),
+            g.total_work(),
+            "{threads} threads"
+        );
+    }
+    // Phased = the same tasks plus one zero-cost gate per level.
+    let phased = run(Schedule::Phased, 2);
+    assert_eq!(phased.task_graph.len(), g.len() + gates(&phased));
+    assert_eq!(phased.task_graph.total_work(), g.total_work());
+}

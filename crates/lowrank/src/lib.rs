@@ -12,7 +12,7 @@
 //!   too expensive (this is how the adaptive-rank BLR baseline LORAPO compresses its
 //!   tiles),
 //! * [`rsvd`] — randomized range sampling, used by the "sampled" basis-construction
-//!   mode described in DESIGN.md,
+//!   mode,
 //! * [`sketch`] — sketch-then-orthonormalize compression: the fast path of the H²
 //!   construction, either a Gaussian sketch (GEMM-dominated) or a mixed-precision
 //!   SRFT-style structured sketch (`O(m·n·log n)` butterfly mixing, optionally f32),

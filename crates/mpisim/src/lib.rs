@@ -24,7 +24,7 @@
 //!   failures),
 //! * [`netmodel`] — an (alpha, beta) latency/bandwidth model that converts recorded
 //!   communication volumes into simulated time for core counts far beyond what the
-//!   reproduction machine can host (see DESIGN.md §3).
+//!   reproduction machine can host.
 //!
 //! Functional correctness is exercised with real threads (small rank counts); the
 //! Fig. 16 scaling numbers come from the cost model driven by the measured per-rank

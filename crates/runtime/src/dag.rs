@@ -1,10 +1,12 @@
 //! Task graphs with dependency tracking.
 //!
 //! A [`TaskGraph`] is a DAG of tasks, each with a cost (in abstract work units — the
-//! solver uses flop counts from `h2-matrix::flops::cost`) and a [`TaskKind`] category.
-//! The graph is built once by the factorization drivers and then either executed for
-//! real ([`crate::pool::DagExecutor`]) or replayed on virtual workers
-//! ([`crate::sim::simulate_schedule`]).
+//! solvers use flop counts) and a [`TaskKind`] category.  It is plain data with two
+//! producers: [`crate::live::live_scope`] hands back the graph it just executed
+//! (submitted kinds and dependencies, costs as reported by the task bodies), and the
+//! LORAPO baseline builds its BLR-LU DAG by hand with analytic costs.  Either one is
+//! analysed here (critical path, work per kind) or replayed on virtual workers by
+//! [`crate::sim::simulate_schedule`].
 
 /// Identifier of a task inside a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -72,6 +74,12 @@ impl TaskGraph {
         TaskGraph { nodes: Vec::new() }
     }
 
+    /// Wrap the records of an executed live graph: `nodes[i].id == TaskId(i)`,
+    /// every dependency precedes its dependent and reverse edges are filled.
+    pub(crate) fn from_nodes(nodes: Vec<TaskNode>) -> Self {
+        TaskGraph { nodes }
+    }
+
     /// Add a task with the given cost, kind and dependencies; returns its id.
     ///
     /// # Panics
@@ -132,22 +140,6 @@ impl TaskGraph {
             longest = longest.max(finish[n.id.0]);
         }
         longest
-    }
-
-    /// Downward rank of every task: the length of the longest cost-weighted path
-    /// from the task to any sink, **including** the task's own cost.  This is the
-    /// classic HEFT/critical-path-first priority — executing high-rank tasks first
-    /// keeps the critical path moving and bounds the makespan at
-    /// `T_P <= T_1/P + critical_path` (Graham's bound with the greedy scheduler).
-    pub fn downward_ranks(&self) -> Vec<f64> {
-        let mut rank = vec![0.0f64; self.nodes.len()];
-        // Nodes are in topological order, so a reverse sweep sees every dependent
-        // before the tasks it depends on.
-        for n in self.nodes.iter().rev() {
-            let tail = n.dependents.iter().map(|d| rank[d.0]).fold(0.0, f64::max);
-            rank[n.id.0] = n.cost + tail;
-        }
-        rank
     }
 
     /// Number of tasks with no dependencies (the initial parallelism).
@@ -223,21 +215,6 @@ mod tests {
         }
         assert_eq!(g.critical_path(), 10.0);
         assert_eq!(g.num_roots(), 10);
-    }
-
-    #[test]
-    fn downward_ranks_equal_longest_path_to_sink() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Factor, 10.0, &[]);
-        let b = g.add_task(TaskKind::Solve, 5.0, &[a]);
-        let c = g.add_task(TaskKind::Solve, 1.0, &[a]);
-        let d = g.add_task(TaskKind::Update, 2.0, &[b, c]);
-        let ranks = g.downward_ranks();
-        assert_eq!(ranks[d.0], 2.0);
-        assert_eq!(ranks[b.0], 7.0);
-        assert_eq!(ranks[c.0], 3.0);
-        // Root rank equals the critical path of the whole graph.
-        assert_eq!(ranks[a.0], g.critical_path());
     }
 
     #[test]

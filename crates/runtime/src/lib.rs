@@ -11,17 +11,18 @@
 //!
 //! This crate provides both sides of that comparison as reusable substrates:
 //!
-//! * [`dag`] — an explicit task-graph representation with dependency tracking,
-//!   critical-path analysis and category labels,
-//! * [`pool`] — a work-stealing thread pool (per-worker deques, LIFO local pop /
-//!   FIFO steal, priority injector) plus a DAG executor that runs real closures
-//!   with dependency tracking and critical-path-first ordering (our PaRSEC
-//!   stand-in); the H²-ULV factorization drives its per-level basis construction
-//!   and elimination through it,
-//! * [`sim`] — a discrete-event scheduler simulator that replays a task DAG on `P`
-//!   virtual workers with a configurable per-task runtime overhead; this is what the
-//!   strong-scaling figures use, because the CI machine has a single physical core
-//!   (see DESIGN.md §3),
+//! * [`dag`] — [`TaskGraph`], a plain-data task DAG with critical-path analysis
+//!   and category labels,
+//! * [`live`] — [`live_scope`], the one executor: dynamic task submission with
+//!   per-edge dependency release and typed panic containment.  The H² construction
+//!   and the fused H²-ULV factorization run on it, and it hands back the graph it
+//!   executed (kinds, dependencies, reported costs) as a [`TaskGraph`],
+//! * [`pool`] — the work-stealing thread pool underneath (per-worker deques, LIFO
+//!   local pop / FIFO steal, priority injector),
+//! * [`sim`] — a discrete-event scheduler simulator that replays a task DAG — the
+//!   recorded factorization graph or the LORAPO baseline's — on `P` virtual workers
+//!   with a configurable per-task runtime overhead; this is what the strong-scaling
+//!   figures use, because the CI machine cannot host the paper's core counts,
 //! * [`trace`] — execution traces (worker timelines, useful vs. overhead time) that
 //!   regenerate the Fig. 13 analysis,
 //! * [`stats`] — makespan / critical path / efficiency summaries.
@@ -37,7 +38,7 @@ pub mod trace;
 
 pub use dag::{TaskGraph, TaskId, TaskKind};
 pub use live::{live_scope, LiveScope};
-pub use pool::{resolve_num_threads, DagExecutor, TaskPanic, ThreadPool};
+pub use pool::{resolve_num_threads, TaskPanic, ThreadPool};
 pub use sim::{simulate_schedule, SimConfig, SimResult};
 pub use stats::{ScheduleStats, WorkStealCounters};
 pub use trace::{Trace, TraceEvent};

@@ -1,32 +1,34 @@
-//! Live task graph: dynamic submission with per-edge dependency release.
+//! Live task graph: the one executor of the workspace, and the one description
+//! of what it executed.
 //!
-//! [`DagExecutor`](crate::pool::DagExecutor) runs a *static* [`TaskGraph`]: the
-//! whole graph must exist before execution starts, and `execute` is a barrier.
-//! The fused construction ⇄ factorization pipeline needs more: a running task
-//! must be able to spawn successors into the graph (the root factorization is
-//! submitted by the final merge task, not by the driver), and a dependent must
-//! be released the instant its *own* inputs exist — not when a phase or level
-//! completes.
+//! The fused construction ⇄ factorization pipeline needs dynamic submission: a
+//! running task must be able to spawn successors into the graph (the root
+//! factorization is submitted by the final merge task, not by the driver), and
+//! a dependent must be released the instant its *own* inputs exist — not when a
+//! phase or level completes.
 //!
-//! [`live_scope`] provides that in the style of `std::thread::scope`:
+//! [`live_scope`] provides that in the style of `std::thread::scope`, and hands
+//! back the graph it ran as a plain [`TaskGraph`]:
 //!
 //! ```ignore
 //! let pool = ThreadPool::new(4);
-//! let result = live_scope(&pool, |scope| {
+//! let ((), graph) = live_scope(&pool, |scope| {
 //!     let a = scope.submit(TaskKind::Compress, 1.0, &[], |_| { /* ... */ });
 //!     scope.submit(TaskKind::Factor, 2.0, &[a], |scope| {
 //!         // dynamic submission: successors enter the live graph mid-run
-//!         scope.submit(TaskKind::Factor, 3.0, &[], |_| { /* ... */ });
+//!         scope.submit(TaskKind::Factor, 3.0, &[], |scope| {
+//!             scope.report_cost(1.0e6); // e.g. the flops this task performed
+//!         });
 //!     });
 //! })?;
+//! assert_eq!(graph.len(), 3);
 //! ```
 //!
 //! Guarantees:
 //!
 //! * **Per-edge release** — a task becomes ready the moment its last
 //!   dependency completes; the releasing worker pushes ready dependents onto
-//!   its own LIFO deque (highest priority last, so it runs next), exactly like
-//!   the static executor.
+//!   its own LIFO deque (highest priority last, so it runs next).
 //! * **Sound termination** — a task's dynamic submissions increment the pool's
 //!   outstanding-task count *before* the submitting task itself finishes, so
 //!   waiting on pool idleness can never miss work.  [`live_scope`] blocks until
@@ -37,25 +39,32 @@
 //!   [`TaskPanic`], the graph is cancelled (queued tasks drain as counted
 //!   no-ops, dependents of unfinished tasks are never released), and the pool
 //!   remains reusable.
+//! * **The record is the run** — the returned graph has one node per submitted
+//!   task, in submission order, with the submitted kind and dependencies.  A
+//!   task submitted from inside a running task additionally depends on its
+//!   submitter (a real edge: it is released when the submitter completes), so
+//!   dynamically grown parts of the graph stay on the critical path.  A node's
+//!   cost is whatever its body passed to [`LiveScope::report_cost`] — the
+//!   factorizations report their per-thread flop delta, which keeps costs
+//!   deterministic and in the unit the LORAPO baseline DAG uses.
 //!
 //! Determinism: the scope does not impose an execution order beyond the
-//! dependency edges, so — exactly as with the static executor — callers must
-//! make every task write its own private output slot and collect results in a
-//! fixed order.  Under that discipline results are bitwise identical at every
-//! thread count.
+//! dependency edges, so callers must make every task write its own private
+//! output slot and collect results in a fixed order.  Under that discipline
+//! results are bitwise identical at every thread count.
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::dag::{TaskId, TaskKind};
+use crate::dag::{TaskGraph, TaskId, TaskKind, TaskNode};
 use crate::pool::{panic_message, PoolShared, TaskPanic, ThreadPool};
 
 /// Boxed task body.  The argument is a scope handle so a running task can
-/// submit successors into the live graph.
+/// submit successors into the live graph and report its cost.
 type LiveJob = Box<dyn FnOnce(&LiveScope<'static>) + Send + 'static>;
 
 /// Lifecycle of a node in the live graph.
@@ -68,29 +77,35 @@ enum NodeState {
     Done,
 }
 
-struct LiveNode {
+/// Scheduling state of one task.
+struct Sched {
     state: NodeState,
-    /// Tasks whose unmet-dependency count this node's completion decrements.
-    dependents: Vec<TaskId>,
-    /// Scheduling priority (higher runs first among ready tasks).
+    /// Priority (higher runs first among ready tasks).
     priority: f64,
-    #[allow(dead_code)]
-    kind: TaskKind,
+}
+
+/// The live graph, one entry per task in both vectors.  `record` is the graph
+/// [`live_scope`] hands back, built in place: kind and dependencies at
+/// submission, reverse edges (every task that listed this one, released or
+/// not) as dependents register, the reported cost at completion.
+#[derive(Default)]
+struct LiveNodes {
+    sched: Vec<Sched>,
+    record: Vec<TaskNode>,
 }
 
 /// Bookkeeping shared by every handle to one live graph.
 struct LiveShared {
-    /// Node states plus reverse edges.  One lock for the whole graph — it is
-    /// held only for bookkeeping (state flips, edge release), never while a
-    /// task body runs, so contention is bounded by release traffic.
-    nodes: Mutex<Vec<LiveNode>>,
+    pool: Arc<PoolShared>,
+    /// Node states plus edges.  One lock for the whole graph — it is held only
+    /// for bookkeeping (state flips, edge release), never while a task body
+    /// runs, so contention is bounded by release traffic.
+    nodes: Mutex<LiveNodes>,
     /// Set on the first panic: queued tasks drain as counted no-ops and
     /// dependents are never released.
     cancelled: AtomicBool,
     /// First task panic, reported by [`live_scope`] as a typed error.
     failure: Mutex<Option<TaskPanic>>,
-    /// Tasks that ran to completion (excluding cancelled drains) — test aid.
-    completed: AtomicUsize,
 }
 
 /// Handle through which tasks are submitted into a live graph.
@@ -99,15 +114,19 @@ struct LiveShared {
 /// [`live_scope`] guarantees every task finishes before `'env` ends.
 pub struct LiveScope<'env> {
     shared: Arc<LiveShared>,
-    pool: Arc<PoolShared>,
+    /// The running task this handle was given to (`None` for the builder's).
+    current: Option<TaskId>,
+    /// Bits of the `f64` cost the running task reported.
+    cost: AtomicU64,
     _env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'env> LiveScope<'env> {
-    fn handle(shared: &Arc<LiveShared>, pool: &Arc<PoolShared>) -> LiveScope<'static> {
+    fn handle(shared: Arc<LiveShared>, current: Option<TaskId>) -> LiveScope<'env> {
         LiveScope {
-            shared: Arc::clone(shared),
-            pool: Arc::clone(pool),
+            shared,
+            current,
+            cost: AtomicU64::new(0.0f64.to_bits()),
             _env: PhantomData,
         }
     }
@@ -119,7 +138,8 @@ impl<'env> LiveScope<'env> {
     ///
     /// Callable from the builder closure *and* from inside a running task (the
     /// task body receives a scope handle) — that is the dynamic-submission
-    /// half of the fused-pipeline contract.
+    /// half of the fused-pipeline contract.  A task submitted from inside a
+    /// running task also depends on that task.
     ///
     /// # Panics
     /// Panics on a dependency handle that this graph never issued.
@@ -129,92 +149,81 @@ impl<'env> LiveScope<'env> {
     {
         let boxed: Box<dyn FnOnce(&LiveScope<'env>) + Send + 'env> = Box::new(body);
         // SAFETY: `live_scope` does not return until every submitted task has
-        // drained (it waits for pool idleness even when the builder panics),
-        // so the `'env` borrows captured by the closure strictly outlive its
-        // execution.  Same contract as `DagExecutor::execute_scoped`.
-        let boxed: LiveJob = unsafe {
+        // drained (it waits for pool idleness even when the builder panics)
+        // and drops the bodies that never ran before it returns, so the `'env`
+        // borrows captured by the closure strictly outlive it.
+        let job: LiveJob = unsafe {
             std::mem::transmute::<Box<dyn FnOnce(&LiveScope<'env>) + Send + 'env>, LiveJob>(boxed)
         };
+        // Empty (and unallocated) for a dep-less task submitted by the builder.
+        let deps: Vec<TaskId> = deps.iter().copied().chain(self.current).collect();
 
-        let mut nodes = self.shared.nodes.lock();
-        let id = TaskId(nodes.len());
-        if self.shared.cancelled.load(Ordering::Acquire) {
-            // The graph is being torn down; register the node as already done
-            // so late submissions from still-running tasks drop cleanly and
-            // later dependency references on them stay valid.
-            nodes.push(LiveNode {
-                state: NodeState::Done,
-                dependents: Vec::new(),
-                priority,
-                kind,
-            });
-            return id;
-        }
+        let mut guard = self.shared.nodes.lock();
+        let nodes = &mut *guard;
+        let id = TaskId(nodes.sched.len());
+        // While the graph is being torn down, a late submission from a
+        // still-running task is registered as already done: it drops cleanly
+        // and later dependency references on it stay valid.
+        let cancelled = self.shared.cancelled.load(Ordering::Acquire);
         let mut remaining = 0usize;
-        for dep in deps {
-            assert!(dep.0 < id.0, "dependency on unknown task {dep:?}");
-            if !matches!(nodes[dep.0].state, NodeState::Done) {
-                nodes[dep.0].dependents.push(id);
-                remaining += 1;
+        if !cancelled {
+            for dep in &deps {
+                assert!(dep.0 < id.0, "dependency on unknown task {dep:?}");
+                nodes.record[dep.0].dependents.push(id);
+                if !matches!(nodes.sched[dep.0].state, NodeState::Done) {
+                    remaining += 1;
+                }
             }
         }
-        if remaining == 0 {
-            nodes.push(LiveNode {
-                state: NodeState::Queued,
-                dependents: Vec::new(),
-                priority,
-                kind,
-            });
-            drop(nodes);
-            spawn_live(&self.shared, &self.pool, id, priority, boxed);
+        nodes.record.push(TaskNode {
+            id,
+            cost: 0.0,
+            kind,
+            deps,
+            dependents: Vec::new(),
+        });
+        let (state, ready) = if cancelled {
+            (NodeState::Done, None)
+        } else if remaining == 0 {
+            (NodeState::Queued, Some(job))
         } else {
-            nodes.push(LiveNode {
-                state: NodeState::Waiting {
-                    job: boxed,
-                    remaining,
-                },
-                dependents: Vec::new(),
-                priority,
-                kind,
-            });
+            (NodeState::Waiting { job, remaining }, None)
+        };
+        nodes.sched.push(Sched { state, priority });
+        drop(guard);
+        if let Some(job) = ready {
+            spawn_live(&self.shared, id, priority, job);
         }
         id
     }
 
-    /// Number of tasks that ran to completion so far (cancelled drains and
-    /// panicked tasks excluded).
-    pub fn completed(&self) -> usize {
-        self.shared.completed.load(Ordering::Relaxed)
+    /// Report the cost of the running task (the factorizations pass the flops
+    /// it performed); it becomes the node's cost in the graph [`live_scope`]
+    /// returns.  The last report wins; the builder's handle ignores it.
+    pub fn report_cost(&self, cost: f64) {
+        self.cost.store(cost.to_bits(), Ordering::Relaxed);
     }
 }
 
-/// Push one ready task to the pool.  The wrapper replicates the static
-/// executor's containment: a panicking body is caught here, recorded once,
-/// and cancels the rest of the graph; completion releases dependents per edge
-/// and pushes the newly ready ones, most critical last (LIFO deque → runs
-/// first).
-fn spawn_live(
-    shared: &Arc<LiveShared>,
-    pool: &Arc<PoolShared>,
-    id: TaskId,
-    priority: f64,
-    job: LiveJob,
-) {
-    let shared_for_job = Arc::clone(shared);
-    let pool_for_job = Arc::clone(pool);
-    pool.push(
+/// Push one ready task to the pool.  A panicking body is caught here, recorded
+/// once, and cancels the rest of the graph; completion stores the reported
+/// cost, releases dependents per edge and pushes the newly ready ones, most
+/// critical last (LIFO deque → runs first).
+fn spawn_live(shared: &Arc<LiveShared>, id: TaskId, priority: f64, job: LiveJob) {
+    let for_job = Arc::clone(shared);
+    shared.pool.push(
         priority,
         Box::new(move || {
-            if shared_for_job.cancelled.load(Ordering::Acquire) {
+            let scope = LiveScope::handle(for_job, Some(id));
+            let shared = &scope.shared;
+            if shared.cancelled.load(Ordering::Acquire) {
                 // Drain without running; the pool still counts this job, so
                 // idleness-based termination keeps its guarantee.
-                let mut nodes = shared_for_job.nodes.lock();
-                nodes[id.0].state = NodeState::Done;
+                shared.nodes.lock().sched[id.0].state = NodeState::Done;
                 return;
             }
-            let scope = LiveScope::handle(&shared_for_job, &pool_for_job);
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(&scope))) {
-                let mut f = shared_for_job.failure.lock();
+                let mut f = shared.failure.lock();
                 if f.is_none() {
                     *f = Some(TaskPanic {
                         task: id,
@@ -222,22 +231,21 @@ fn spawn_live(
                     });
                 }
                 drop(f);
-                shared_for_job.cancelled.store(true, Ordering::Release);
+                shared.cancelled.store(true, Ordering::Release);
                 // Dependents of a panicked task are never released.
-                let mut nodes = shared_for_job.nodes.lock();
-                nodes[id.0].state = NodeState::Done;
+                shared.nodes.lock().sched[id.0].state = NodeState::Done;
                 return;
             }
-            shared_for_job.completed.fetch_add(1, Ordering::Relaxed);
             // Per-edge release: decrement every dependent's unmet count and
             // collect the ones this completion made ready.
             let mut ready: Vec<(TaskId, f64, LiveJob)> = Vec::new();
             {
-                let mut nodes = shared_for_job.nodes.lock();
-                nodes[id.0].state = NodeState::Done;
-                let dependents = std::mem::take(&mut nodes[id.0].dependents);
-                for dep in dependents {
-                    let node = &mut nodes[dep.0];
+                let mut guard = shared.nodes.lock();
+                let LiveNodes { sched, record } = &mut *guard;
+                sched[id.0].state = NodeState::Done;
+                record[id.0].cost = f64::from_bits(scope.cost.load(Ordering::Relaxed));
+                for &dep in &record[id.0].dependents {
+                    let node = &mut sched[dep.0];
                     let released = match &mut node.state {
                         NodeState::Waiting { remaining, .. } => {
                             *remaining -= 1;
@@ -257,13 +265,14 @@ fn spawn_live(
             // most critical dependent is executed next.
             ready.sort_by(|a, b| a.1.total_cmp(&b.1));
             for (dep, prio, job) in ready {
-                spawn_live(&shared_for_job, &pool_for_job, dep, prio, job);
+                spawn_live(shared, dep, prio, job);
             }
         }),
     );
 }
 
-/// Run a live task graph to completion on `pool`.
+/// Run a live task graph to completion on `pool` and hand back, next to the
+/// builder's result, the graph that ran.
 ///
 /// `build` receives the scope handle and submits the initial tasks; tasks may
 /// submit further tasks while running.  The call returns only after every
@@ -277,18 +286,14 @@ fn spawn_live(
 pub fn live_scope<'env, R>(
     pool: &ThreadPool,
     build: impl FnOnce(&LiveScope<'env>) -> R,
-) -> Result<R, TaskPanic> {
+) -> Result<(R, TaskGraph), TaskPanic> {
     let shared = Arc::new(LiveShared {
-        nodes: Mutex::new(Vec::new()),
+        pool: Arc::clone(pool.shared_handle()),
+        nodes: Mutex::new(LiveNodes::default()),
         cancelled: AtomicBool::new(false),
         failure: Mutex::new(None),
-        completed: AtomicUsize::new(0),
     });
-    let scope = LiveScope::<'env> {
-        shared: Arc::clone(&shared),
-        pool: Arc::clone(pool.shared_handle()),
-        _env: PhantomData,
-    };
+    let scope = LiveScope::<'env>::handle(Arc::clone(&shared), None);
     let built = catch_unwind(AssertUnwindSafe(|| build(&scope)));
     if built.is_err() {
         // The builder died mid-registration: cancel so queued tasks drain
@@ -299,6 +304,9 @@ pub fn live_scope<'env, R>(
     // Live task wrappers catch their own panics, so this cannot re-throw for
     // them; only plain `submit` jobs sharing the pool could.
     let pool_panic = pool.try_wait_idle();
+    // Taking the nodes drops, inside the scope, the bodies a cancelled run
+    // never released.
+    let LiveNodes { record, .. } = std::mem::take(&mut *shared.nodes.lock());
     match built {
         Err(payload) => std::panic::resume_unwind(payload),
         Ok(result) => {
@@ -308,7 +316,7 @@ pub fn live_scope<'env, R>(
             if let Some(failure) = shared.failure.lock().take() {
                 return Err(failure);
             }
-            Ok(result)
+            Ok((result, TaskGraph::from_nodes(record)))
         }
     }
 }
@@ -390,12 +398,17 @@ mod tests {
             let boom = scope.submit(TaskKind::Factor, 1.0, &[], |_| {
                 panic!("live graph boom");
             });
-            // Dependent of the panicked task: must never run.
-            scope.submit(TaskKind::Factor, 1.0, &[boom], |_| {
-                ran_after.fetch_add(1, Ordering::Relaxed);
-            });
+            // A chain behind the panicked task: none of it may run, and the
+            // scope must still drain cleanly.
+            let mut prev = boom;
+            for _ in 0..50 {
+                prev = scope.submit(TaskKind::Factor, 1.0, &[prev], |_| {
+                    ran_after.fetch_add(1, Ordering::Relaxed);
+                });
+            }
         });
         let err = result.expect_err("panic must surface");
+        assert_eq!(err.task, TaskId(0));
         assert!(err.message.contains("live graph boom"), "{}", err.message);
         assert_eq!(ran_after.load(Ordering::Relaxed), 0);
         // The pool is reusable after a cancelled graph.
@@ -410,7 +423,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let local = AtomicU64::new(0);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let _: Result<(), TaskPanic> = live_scope(&pool, |scope| {
+            let _ = live_scope(&pool, |scope| {
                 for _ in 0..8 {
                     scope.submit(TaskKind::Other, 1.0, &[], |_| {
                         local.fetch_add(1, Ordering::Relaxed);
@@ -459,5 +472,77 @@ mod tests {
         let c = run(4);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn higher_priority_tasks_run_first_on_one_worker() {
+        // One worker, held inside the first task while three more are
+        // submitted: the injector must hand them out highest-priority-first.
+        let pool = ThreadPool::new(1);
+        let order = Mutex::new(Vec::new());
+        let (opened, gate) = (Mutex::new(false), parking_lot::Condvar::new());
+        live_scope(&pool, |scope| {
+            scope.submit(TaskKind::Other, 9.0, &[], |_| {
+                let mut open = opened.lock();
+                while !*open {
+                    gate.wait(&mut open);
+                }
+            });
+            for (prio, tag) in [(1.0, "low"), (3.0, "high"), (2.0, "mid")] {
+                let order = &order;
+                scope.submit(TaskKind::Other, prio, &[], move |_| order.lock().push(tag));
+            }
+            *opened.lock() = true;
+            gate.notify_all();
+        })
+        .expect("clean run");
+        assert_eq!(*order.lock(), vec!["high", "mid", "low"]);
+    }
+
+    #[test]
+    fn the_returned_graph_is_the_one_that_ran() {
+        let pool = ThreadPool::new(3);
+        let inner = std::sync::OnceLock::new();
+        let ((a, b, c), graph) = live_scope(&pool, |scope| {
+            let a = scope.submit(TaskKind::Compress, 1.0, &[], |s| s.report_cost(7.0));
+            let b = scope.submit(TaskKind::Basis, 1.0, &[a], |s| {
+                s.report_cost(1.0);
+                s.report_cost(5.0); // the last report wins
+            });
+            let inner = &inner;
+            let c = scope.submit(TaskKind::Update, 1.0, &[a, b], move |s| {
+                s.report_cost(3.0);
+                // Dynamic submission with no explicit deps: the record must
+                // still tie it to its submitter.
+                let d = s.submit(TaskKind::Factor, 0.0, &[], |s| s.report_cost(11.0));
+                let _ = inner.set(d);
+            });
+            scope.report_cost(99.0); // the builder's handle is no task
+            (a, b, c)
+        })
+        .expect("clean run");
+        let d = *inner.get().expect("inner task submitted");
+        assert_eq!(graph.len(), 4, "one node per submitted task");
+        assert!(graph.validate());
+        let node = |t: TaskId| graph.node(t);
+        assert_eq!(
+            [a, b, c, d].map(|t| node(t).kind),
+            [
+                TaskKind::Compress,
+                TaskKind::Basis,
+                TaskKind::Update,
+                TaskKind::Factor
+            ]
+        );
+        assert!(node(a).deps.is_empty());
+        assert_eq!(node(b).deps, vec![a]);
+        assert_eq!(node(c).deps, vec![a, b]);
+        assert_eq!(node(d).deps, vec![c], "submitter recorded as dependency");
+        assert_eq!(node(a).dependents, vec![b, c]);
+        assert_eq!(node(c).dependents, vec![d]);
+        assert_eq!([a, b, c, d].map(|t| node(t).cost), [7.0, 5.0, 3.0, 11.0]);
+        assert_eq!(graph.total_work(), 26.0);
+        assert_eq!(graph.critical_path(), 26.0);
+        assert_eq!(graph.num_roots(), 1);
     }
 }

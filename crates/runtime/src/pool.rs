@@ -1,11 +1,10 @@
-//! A work-stealing thread pool and a dependency-tracking DAG executor.
+//! A work-stealing thread pool: the substrate [`crate::live::live_scope`] runs
+//! its task graphs on.
 //!
-//! The pool is the substrate standing in for the PaRSEC/StarPU runtimes referenced by
-//! the paper: the LORAPO-style baseline submits its GETRF/TRSM/GEMM tasks with
-//! explicit dependencies and the executor releases them as their predecessors finish.
-//! The H²-ULV solver drives its per-cluster basis construction and elimination
-//! through the same executor — a level is an almost-flat graph there, which is
-//! exactly the point the paper makes.
+//! The pool stands in for the PaRSEC/StarPU runtimes referenced by the paper.
+//! It knows nothing about dependencies — `live_scope` tracks those and pushes a
+//! task here the moment its last dependency completes; the pool decides which
+//! worker runs it and when.
 //!
 //! Scheduling design (the three properties the scaling measurements depend on):
 //!
@@ -21,11 +20,10 @@
 //!   count and the no-lost-wakeup protocol live there) — cheap for this solver's
 //!   coarse tasks; replacing it with an atomic counter + event-count parking is
 //!   the remaining step for fine-grained workloads.
-//! * **Critical-path-first priorities.**  [`DagExecutor`] orders the shared injector
-//!   by each task's *downward rank* (longest cost-weighted path to a sink,
-//!   [`TaskGraph::downward_ranks`]), so workers always start the task that gates the
-//!   most downstream work — the standard list-scheduling heuristic that keeps the
-//!   makespan within Graham's `T_1/P + critical_path` bound.
+//! * **Priorities.**  The shared injector is a max-heap on the priority the
+//!   submitter passes (FIFO among equals); a worker releasing several dependents
+//!   pushes them lowest-priority first, so its LIFO deque runs the most critical
+//!   one next.
 //! * **Idleness counts outstanding tasks, not queue length.**  `wait_idle` blocks
 //!   until the number of *submitted-but-unfinished* tasks reaches zero.  With
 //!   stealing, a task can be in flight in a worker's local deque or mid-execution
@@ -33,23 +31,23 @@
 //!   would let `wait_idle` return early and race the local-deque work.
 //!
 //! Workers park on a condition variable when no work exists anywhere, so an idle
-//! pool consumes no CPU.  A panicking task is caught, recorded, and re-thrown from
-//! `wait_idle`/`execute` on the waiting thread (dependents of a panicked task are
-//! never released).
+//! pool consumes no CPU.  A panicking plain job is caught, recorded, and re-thrown
+//! from `wait_idle` on the waiting thread; live-graph tasks catch their own panics
+//! and report them as a typed [`TaskPanic`].
 
-use crate::dag::{TaskGraph, TaskId};
+use crate::dag::TaskId;
 use crate::stats::WorkStealCounters;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A task of a [`DagExecutor`] graph panicked.  The executor catches the
-/// panic, cancels the rest of the graph (dependents are never released and
-/// queued tasks drain as no-ops) and reports it as this error instead of
-/// unwinding, so the pool stays reusable and the caller can surface a typed
-/// failure.
+/// A task of a [`live_scope`](crate::live::live_scope) graph panicked.  The
+/// scope catches the panic, cancels the rest of the graph (dependents are never
+/// released and queued tasks drain as no-ops) and reports it as this error
+/// instead of unwinding, so the pool stays reusable and the caller can surface
+/// a typed failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskPanic {
     /// The graph task whose action panicked.
@@ -296,13 +294,6 @@ impl ThreadPool {
         self.shared.push(0.0, Box::new(job));
     }
 
-    /// Submit a job with an explicit priority — higher runs first among injector
-    /// entries.  (Jobs submitted from a worker thread of this pool go to that
-    /// worker's own deque, where LIFO position takes the role of priority.)
-    pub fn submit_prioritized(&self, prio: f64, job: impl FnOnce() + Send + 'static) {
-        self.shared.push(prio, Box::new(job));
-    }
-
     /// Block until every submitted job has finished — including jobs that were
     /// submitted *by other jobs* and are still in a worker's local deque; idleness
     /// is detected from the outstanding-task count, never from queue emptiness.
@@ -314,8 +305,8 @@ impl ThreadPool {
     }
 
     /// Like [`wait_idle`](Self::wait_idle), but hands the first task panic back
-    /// as a value instead of re-throwing it — the containment-path variant the
-    /// DAG executor builds on.
+    /// as a value instead of re-throwing it — the containment-path variant
+    /// `live_scope` builds on.
     pub fn try_wait_idle(&self) -> Result<(), Box<dyn std::any::Any + Send + 'static>> {
         {
             let mut s = self.shared.sync.lock();
@@ -327,16 +318,6 @@ impl ThreadPool {
             Some(p) => Err(p),
             None => Ok(()),
         }
-    }
-
-    /// Run a closure over `0..n` in parallel and wait for completion.
-    pub fn par_for(&self, n: usize, f: impl Fn(usize) + Send + Sync + 'static) {
-        let f = Arc::new(f);
-        for i in 0..n {
-            let f = Arc::clone(&f);
-            self.submit(move || f(i));
-        }
-        self.wait_idle();
     }
 
     /// Snapshot of the scheduling counters accumulated since pool creation.
@@ -351,8 +332,8 @@ impl ThreadPool {
 }
 
 fn worker_loop(shared: Arc<PoolShared>, idx: usize) {
-    // Nested kernels (packed GEMM bands, rayon-stub par_iter) must not fan out on
-    // top of a busy DAG worker.
+    // Nested kernels (the packed GEMM's column bands) must not fan out on top
+    // of a busy task worker.
     rayon::mark_worker_thread();
     WORKER.with(|w| w.set(Some((shared.pool_id, idx))));
     while let Some(job) = shared.next_job(idx) {
@@ -382,77 +363,6 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Executes a [`TaskGraph`] whose tasks carry real closures, releasing each task only
-/// when all of its dependencies have completed.  Ready tasks are started
-/// critical-path-first (see module docs).
-pub struct DagExecutor {
-    pool: ThreadPool,
-}
-
-/// Per-execution shared state for the DAG run.
-struct ExecShared {
-    remaining: Vec<AtomicUsize>,
-    actions: Vec<Mutex<Option<Job>>>,
-    completion: Mutex<Vec<TaskId>>,
-    dependents: Vec<Vec<TaskId>>,
-    /// Downward rank of every task (critical-path-first priority).
-    ranks: Vec<f64>,
-    /// Set when a task panics: already-queued tasks drain as no-ops and no
-    /// further dependents are released, so the run winds down promptly.
-    cancelled: AtomicBool,
-    /// First task panic of the run, reported by `execute` as a typed error.
-    failure: Mutex<Option<TaskPanic>>,
-}
-
-/// Submit task `id` to the pool; on completion the worker releases dependents
-/// and submits any that became ready — no coordinator round-trip.  A panicking
-/// action is caught here (not in the pool's backstop), recorded in
-/// `exec.failure`, and cancels the rest of the graph.
-fn spawn_task(pool: &Arc<PoolShared>, exec: &Arc<ExecShared>, id: TaskId) {
-    let pool_for_job = Arc::clone(pool);
-    let exec_for_job = Arc::clone(exec);
-    pool.push(
-        exec.ranks[id.0],
-        Box::new(move || {
-            if exec_for_job.cancelled.load(Ordering::Acquire) {
-                // The graph is being torn down; drain without running.  The
-                // pool still counts this job via `finish_one`, so `wait_idle`
-                // keeps its outstanding-task guarantee.
-                return;
-            }
-            let action = exec_for_job.actions[id.0].lock().take();
-            if let Some(job) = action {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    let mut f = exec_for_job.failure.lock();
-                    if f.is_none() {
-                        *f = Some(TaskPanic {
-                            task: id,
-                            message: panic_message(payload.as_ref()),
-                        });
-                    }
-                    exec_for_job.cancelled.store(true, Ordering::Release);
-                    // Dependents of a panicked task are never released.
-                    return;
-                }
-            }
-            exec_for_job.completion.lock().push(id);
-            // fetch_sub returns the previous value: 1 means this task was the
-            // last unmet dependency and the dependent is now ready.
-            let mut ready: Vec<TaskId> = exec_for_job.dependents[id.0]
-                .iter()
-                .copied()
-                .filter(|dep| exec_for_job.remaining[dep.0].fetch_sub(1, Ordering::AcqRel) == 1)
-                .collect();
-            // Push lowest rank first: the worker's deque is LIFO, so the
-            // highest-rank (most critical) dependent is executed next.
-            ready.sort_by(|a, b| exec_for_job.ranks[a.0].total_cmp(&exec_for_job.ranks[b.0]));
-            for dep in ready {
-                spawn_task(&pool_for_job, &exec_for_job, dep);
-            }
-        }),
-    );
-}
-
 /// Resolve a worker-thread count: `explicit` if positive, else the
 /// `H2_NUM_THREADS` environment variable, else the machine's available
 /// parallelism.  Shared by every DAG-driven construction/factorization so they
@@ -473,124 +383,10 @@ pub fn resolve_num_threads(explicit: usize) -> usize {
         .unwrap_or(1)
 }
 
-impl DagExecutor {
-    /// Create an executor backed by a pool with `num_threads` workers.
-    pub fn new(num_threads: usize) -> Self {
-        DagExecutor {
-            pool: ThreadPool::new(num_threads),
-        }
-    }
-
-    /// Execute the graph.  `actions[i]` is the closure for task `i`; tasks with no
-    /// action (None) are treated as zero-cost synchronization points.  Returns the
-    /// order in which tasks completed (useful for tests).
-    ///
-    /// A panicking task action does **not** unwind into the caller: the panic is
-    /// caught, the remaining graph is cancelled (queued tasks drain as no-ops,
-    /// dependents are never released), and the panic comes back as
-    /// [`TaskPanic`].  The pool stays reusable afterwards.
-    ///
-    /// # Panics
-    /// Panics if `actions.len() != graph.len()` — a caller bug, not an input.
-    pub fn execute(
-        &self,
-        graph: &TaskGraph,
-        actions: Vec<Option<Job>>,
-    ) -> Result<Vec<TaskId>, TaskPanic> {
-        assert_eq!(actions.len(), graph.len(), "one action per task required");
-        if graph.is_empty() {
-            return Ok(Vec::new());
-        }
-        let exec = Arc::new(ExecShared {
-            remaining: graph
-                .iter()
-                .map(|n| AtomicUsize::new(n.deps.len()))
-                .collect(),
-            actions: actions.into_iter().map(Mutex::new).collect(),
-            completion: Mutex::new(Vec::with_capacity(graph.len())),
-            dependents: graph.iter().map(|n| n.dependents.clone()).collect(),
-            ranks: graph.downward_ranks(),
-            cancelled: AtomicBool::new(false),
-            failure: Mutex::new(None),
-        });
-
-        // Seed the injector with the roots, most critical first; everything else is
-        // released by workers.
-        let mut roots: Vec<TaskId> = graph
-            .iter()
-            .filter(|n| n.deps.is_empty())
-            .map(|n| n.id)
-            .collect();
-        roots.sort_by(|a, b| exec.ranks[b.0].total_cmp(&exec.ranks[a.0]));
-        for id in roots {
-            spawn_task(&self.pool.shared, &exec, id);
-        }
-        // DAG actions catch their own panics (spawn_task), so this cannot
-        // re-throw for them; the pool-level backstop only fires for plain
-        // `submit` jobs sharing the pool.
-        self.pool.wait_idle();
-
-        if let Some(failure) = exec.failure.lock().take() {
-            return Err(failure);
-        }
-        let order = exec.completion.lock().clone();
-        debug_assert_eq!(
-            order.len(),
-            graph.len(),
-            "DAG execution left tasks unreleased"
-        );
-        Ok(order)
-    }
-
-    /// Execute a graph whose closures borrow from the caller's stack.
-    ///
-    /// Identical to [`execute`](Self::execute), but the closures only need to live
-    /// for `'env` instead of `'static` — the pattern `std::thread::scope` provides
-    /// for raw threads.
-    pub fn execute_scoped<'env>(
-        &self,
-        graph: &TaskGraph,
-        actions: Vec<Option<Box<dyn FnOnce() + Send + 'env>>>,
-    ) -> Result<Vec<TaskId>, TaskPanic> {
-        // SAFETY: `execute` blocks until every spawned task has finished
-        // (`wait_idle` counts outstanding tasks — a cancelled run still drains
-        // every queued job as a counted no-op) and drops the remaining
-        // unspawned closures before returning, so no closure can outlive
-        // `'env`.  Task panics are caught inside the task job itself, so no
-        // unwind path escapes `execute` while closures are outstanding.
-        let actions: Vec<Option<Job>> = actions
-            .into_iter()
-            .map(|o| {
-                o.map(|b| unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(b) })
-            })
-            .collect();
-        self.execute(graph, actions)
-    }
-
-    /// The underlying pool.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::TaskKind;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn par_for_runs_every_index_once() {
-        let pool = ThreadPool::new(4);
-        let hits = Arc::new((0..100).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>());
-        let h = Arc::clone(&hits);
-        pool.par_for(100, move |i| {
-            h[i].fetch_add(1, Ordering::SeqCst);
-        });
-        for h in hits.iter() {
-            assert_eq!(h.load(Ordering::SeqCst), 1);
-        }
-    }
 
     #[test]
     fn submit_and_wait_idle() {
@@ -662,45 +458,16 @@ mod tests {
         let pool = ThreadPool::new(4);
         for round in 0..20 {
             let counter = Arc::new(AtomicU64::new(0));
-            let c = Arc::clone(&counter);
-            pool.par_for(8, move |_| {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
+            for _ in 0..8 {
+                let c = Arc::clone(&counter);
+                pool.submit(move || {
+                    c.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            pool.wait_idle();
             assert_eq!(counter.load(Ordering::SeqCst), 8, "round {round}");
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn higher_priority_tasks_run_first_on_one_worker() {
-        // One worker, jobs seeded while the worker is blocked on the first job:
-        // the remaining injector entries must drain highest-priority-first.
-        let pool = ThreadPool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-            });
-        }
-        for (prio, tag) in [(1.0, "low"), (3.0, "high"), (2.0, "mid")] {
-            let order = Arc::clone(&order);
-            pool.submit_prioritized(prio, move || {
-                order.lock().push(tag);
-            });
-        }
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        pool.wait_idle();
-        assert_eq!(*order.lock(), vec!["high", "mid", "low"]);
     }
 
     #[test]
@@ -717,210 +484,5 @@ mod tests {
         });
         pool.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn dag_executor_respects_dependencies() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Factor, 1.0, &[]);
-        let b = g.add_task(TaskKind::Solve, 1.0, &[a]);
-        let c = g.add_task(TaskKind::Solve, 1.0, &[a]);
-        let d = g.add_task(TaskKind::Update, 1.0, &[b, c]);
-
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mk = |id: usize, log: &Arc<Mutex<Vec<usize>>>| -> Option<Job> {
-            let log = Arc::clone(log);
-            Some(Box::new(move || {
-                log.lock().push(id);
-            }))
-        };
-        let actions = vec![mk(0, &log), mk(1, &log), mk(2, &log), mk(3, &log)];
-        let exec = DagExecutor::new(3);
-        let order = exec.execute(&g, actions).unwrap();
-        assert_eq!(order.len(), 4);
-        let seq = log.lock().clone();
-        let pos = |x: usize| seq.iter().position(|&v| v == x).unwrap();
-        assert!(pos(0) < pos(1));
-        assert!(pos(0) < pos(2));
-        assert!(pos(1) < pos(3));
-        assert!(pos(2) < pos(3));
-        let _ = (a, b, c, d);
-    }
-
-    #[test]
-    fn dag_executor_handles_empty_and_none_actions() {
-        let exec = DagExecutor::new(1);
-        let g = TaskGraph::new();
-        assert!(exec.execute(&g, vec![]).unwrap().is_empty());
-
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Other, 0.0, &[]);
-        let _b = g.add_task(TaskKind::Other, 0.0, &[a]);
-        let order = exec.execute(&g, vec![None, None]).unwrap();
-        assert_eq!(order.len(), 2);
-        assert_eq!(order[0], a);
-    }
-
-    #[test]
-    fn wide_dag_executes_all_tasks() {
-        let mut g = TaskGraph::new();
-        let root = g.add_task(TaskKind::Factor, 1.0, &[]);
-        let mids: Vec<TaskId> = (0..32)
-            .map(|_| g.add_task(TaskKind::Update, 1.0, &[root]))
-            .collect();
-        let _join = g.add_task(TaskKind::Other, 1.0, &mids);
-        let counter = Arc::new(AtomicU64::new(0));
-        let actions: Vec<Option<Job>> = (0..g.len())
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                Some(Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Job)
-            })
-            .collect();
-        let exec = DagExecutor::new(4);
-        let order = exec.execute(&g, actions).unwrap();
-        assert_eq!(order.len(), 34);
-        assert_eq!(counter.load(Ordering::SeqCst), 34);
-    }
-
-    #[test]
-    fn deep_chain_executes_in_order_without_coordinator() {
-        // A pure chain: worker-side release must carry it end to end.
-        let mut g = TaskGraph::new();
-        let mut prev: Vec<TaskId> = Vec::new();
-        for _ in 0..200 {
-            let id = g.add_task(TaskKind::Update, 1.0, &prev);
-            prev = vec![id];
-        }
-        let exec = DagExecutor::new(4);
-        let order = exec.execute(&g, (0..200).map(|_| None).collect()).unwrap();
-        assert_eq!(order.len(), 200);
-        for (i, id) in order.iter().enumerate() {
-            assert_eq!(id.0, i, "chain must complete strictly in order");
-        }
-    }
-
-    #[test]
-    fn diamond_lattice_respects_all_edges() {
-        // Layered random-ish lattice: every node depends on the whole previous
-        // layer.  Completion order must respect layer order.
-        let mut g = TaskGraph::new();
-        let mut layers: Vec<Vec<TaskId>> = Vec::new();
-        let mut prev: Vec<TaskId> = Vec::new();
-        for w in [3usize, 5, 2, 7, 1, 4] {
-            let layer: Vec<TaskId> = (0..w)
-                .map(|_| g.add_task(TaskKind::Update, 1.0, &prev))
-                .collect();
-            layers.push(layer.clone());
-            prev = layer;
-        }
-        let exec = DagExecutor::new(4);
-        let order = exec
-            .execute(&g, (0..g.len()).map(|_| None).collect())
-            .unwrap();
-        let pos: std::collections::HashMap<usize, usize> =
-            order.iter().enumerate().map(|(i, t)| (t.0, i)).collect();
-        for pair in layers.windows(2) {
-            for a in &pair[0] {
-                for b in &pair[1] {
-                    assert!(pos[&a.0] < pos[&b.0], "{a:?} must precede {b:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn execute_scoped_borrows_stack_data() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Factor, 1.0, &[]);
-        let _b = g.add_task(TaskKind::Update, 1.0, &[a]);
-        let slots: Vec<Mutex<Option<usize>>> = (0..2).map(|_| Mutex::new(None)).collect();
-        let exec = DagExecutor::new(2);
-        let actions: Vec<Option<Box<dyn FnOnce() + Send + '_>>> = (0..2)
-            .map(|i| {
-                let slot = &slots[i];
-                Some(Box::new(move || {
-                    *slot.lock() = Some(i * 10);
-                }) as Box<dyn FnOnce() + Send + '_>)
-            })
-            .collect();
-        exec.execute_scoped(&g, actions).unwrap();
-        assert_eq!(*slots[0].lock(), Some(0));
-        assert_eq!(*slots[1].lock(), Some(10));
-    }
-
-    #[test]
-    fn dag_panic_is_contained_and_skips_dependents() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Factor, 1.0, &[]);
-        let _b = g.add_task(TaskKind::Update, 1.0, &[a]);
-        let ran_b = Arc::new(AtomicUsize::new(0));
-        let rb = Arc::clone(&ran_b);
-        let actions: Vec<Option<Job>> = vec![
-            Some(Box::new(|| panic!("task a failed"))),
-            Some(Box::new(move || {
-                rb.fetch_add(1, Ordering::SeqCst);
-            })),
-        ];
-        let exec = DagExecutor::new(2);
-        // The panic is contained: execute returns a typed error, no unwind.
-        let err = exec.execute(&g, actions).unwrap_err();
-        assert_eq!(err.task, a);
-        assert!(err.message.contains("task a failed"), "{}", err.message);
-        assert_eq!(
-            ran_b.load(Ordering::SeqCst),
-            0,
-            "dependent of a panicked task must not run"
-        );
-        // The executor (and its pool) stays reusable after the failure.
-        let mut g2 = TaskGraph::new();
-        let r = g2.add_task(TaskKind::Factor, 1.0, &[]);
-        let _s = g2.add_task(TaskKind::Update, 1.0, &[r]);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let actions2: Vec<Option<Job>> = (0..2)
-            .map(|_| {
-                let h = Arc::clone(&hits);
-                Some(Box::new(move || {
-                    h.fetch_add(1, Ordering::SeqCst);
-                }) as Job)
-            })
-            .collect();
-        let order = exec.execute(&g2, actions2).unwrap();
-        assert_eq!(order.len(), 2);
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn dag_panic_cancels_remaining_graph() {
-        // A chain behind the panicking task: none of it may run, and execute
-        // must still drain cleanly.
-        let mut g = TaskGraph::new();
-        let a = g.add_task(TaskKind::Factor, 1.0, &[]);
-        let mut prev = a;
-        for _ in 0..50 {
-            prev = g.add_task(TaskKind::Update, 1.0, &[prev]);
-        }
-        let ran = Arc::new(AtomicUsize::new(0));
-        let actions: Vec<Option<Job>> = (0..g.len())
-            .map(|i| {
-                if i == 0 {
-                    Some(Box::new(|| panic!("root failed")) as Job)
-                } else {
-                    let r = Arc::clone(&ran);
-                    Some(Box::new(move || {
-                        r.fetch_add(1, Ordering::SeqCst);
-                    }) as Job)
-                }
-            })
-            .collect();
-        let exec = DagExecutor::new(4);
-        let err = exec.execute(&g, actions).unwrap_err();
-        assert_eq!(err.task, a);
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            0,
-            "cancelled chain must not run"
-        );
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! The paper's strong-scaling figures (Figs. 11, 12, 16) were measured on 128-core
 //! nodes and a 10,240-core cluster; the reproduction environment has a single core.
-//! Rather than skip those experiments, we *replay the real task DAGs* (built by the
-//! factorization drivers, with per-task costs taken from the actual flop counters) on
-//! `P` virtual workers with a list scheduler.  The simulation also charges a per-task
+//! Rather than skip those experiments, we *replay the real task DAGs* — the graph
+//! [`crate::live::live_scope`] recorded while executing the H²-ULV factorization (one
+//! node per task that ran, its real dependency edges, the flops its body counted) and
+//! the LORAPO baseline's hand-built BLR-LU DAG with analytic flop costs — on `P`
+//! virtual workers with a list scheduler.  The simulation also charges a per-task
 //! runtime overhead, modelling the PaRSEC behaviour visible in the paper's Fig. 13
 //! trace, and an optional sequential "task submission" bottleneck on worker 0.
 //!

@@ -1,26 +1,54 @@
-//! Stress tests for the work-stealing pool and the critical-path-first DAG
-//! executor: deep chains, wide fan-outs and diamond lattices under contention,
-//! with more workers than cores so stealing and parking churn constantly.
+//! Stress tests for the work-stealing pool and `live_scope` on top of it: deep
+//! chains, wide fan-outs and diamond lattices under contention, with more
+//! workers than cores so stealing and parking churn constantly.  Every run is
+//! checked edge by edge against the graph `live_scope` recorded.
 
-use h2_runtime::{DagExecutor, TaskGraph, TaskId, TaskKind, ThreadPool};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use h2_runtime::{live_scope, TaskGraph, TaskId, TaskKind, ThreadPool};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// Run one task per entry of `deps` (entry `i` lists the indices task `i`
+/// depends on) and return the completion order with the recorded graph.
+///
+/// Dep-less tasks hold their worker until the whole graph is registered, so
+/// everything behind them is released by workers (local deques, stealing)
+/// rather than trickling through the injector as it is submitted.
+fn run(pool: &ThreadPool, deps: &[Vec<usize>]) -> (Vec<TaskId>, TaskGraph) {
+    let order = Mutex::new(Vec::with_capacity(deps.len()));
+    let registered = AtomicBool::new(false);
+    let ((), graph) = live_scope(pool, |scope| {
+        let mut ids: Vec<TaskId> = Vec::with_capacity(deps.len());
+        for d in deps {
+            let d: Vec<TaskId> = d.iter().map(|&x| ids[x]).collect();
+            let (order, registered, me) = (&order, &registered, TaskId(ids.len()));
+            let hold = d.is_empty();
+            ids.push(scope.submit(TaskKind::Update, 1.0, &d, move |_| {
+                while hold && !registered.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                order.lock().unwrap().push(me);
+            }));
+        }
+        registered.store(true, Ordering::Release);
+    })
+    .expect("clean run");
+    (order.into_inner().unwrap(), graph)
+}
 
-/// Check that a completion order respects every dependency edge of the graph.
-fn assert_order_respects_deps(g: &TaskGraph, order: &[TaskId]) {
-    assert_eq!(
-        order.len(),
-        g.len(),
-        "every task must complete exactly once"
-    );
+/// The recorded graph has exactly the submitted edges, and the completion
+/// order respects every one of them.
+fn assert_recorded_and_respected(deps: &[Vec<usize>], order: &[TaskId], g: &TaskGraph) {
+    assert_eq!(g.len(), deps.len(), "one node per submitted task");
+    assert!(g.validate());
+    assert_eq!(order.len(), g.len(), "every task must complete");
     let mut pos = vec![usize::MAX; g.len()];
     for (p, id) in order.iter().enumerate() {
         assert_eq!(pos[id.0], usize::MAX, "task {id:?} completed twice");
         pos[id.0] = p;
     }
-    for n in g.iter() {
+    for (n, submitted) in g.iter().zip(deps) {
+        let recorded: Vec<usize> = n.deps.iter().map(|d| d.0).collect();
+        assert_eq!(&recorded, submitted, "recorded deps of {:?}", n.id);
         for d in &n.deps {
             assert!(
                 pos[d.0] < pos[n.id.0],
@@ -31,31 +59,25 @@ fn assert_order_respects_deps(g: &TaskGraph, order: &[TaskId]) {
     }
 }
 
-fn counting_actions(g: &TaskGraph, counter: &Arc<AtomicU64>) -> Vec<Option<Job>> {
-    (0..g.len())
-        .map(|_| {
-            let c = Arc::clone(counter);
-            Some(Box::new(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            }) as Job)
-        })
-        .collect()
+/// Layered graph: every task depends on the whole previous layer.
+fn lattice(widths: &[usize]) -> Vec<Vec<usize>> {
+    let mut deps: Vec<Vec<usize>> = Vec::new();
+    let mut prev: Vec<usize> = Vec::new();
+    for &w in widths {
+        let first = deps.len();
+        deps.extend((0..w).map(|_| prev.clone()));
+        prev = (first..first + w).collect();
+    }
+    deps
 }
 
 #[test]
 fn deep_chain_under_contention() {
     // 2000-task chain on 8 workers: at most one task is ever runnable, so the
     // run is a worst case for release/steal/park churn.
-    let mut g = TaskGraph::new();
-    let mut prev: Vec<TaskId> = Vec::new();
-    for _ in 0..2000 {
-        prev = vec![g.add_task(TaskKind::Update, 1.0, &prev)];
-    }
-    let exec = DagExecutor::new(8);
-    let counter = Arc::new(AtomicU64::new(0));
-    let order = exec.execute(&g, counting_actions(&g, &counter)).unwrap();
-    assert_order_respects_deps(&g, &order);
-    assert_eq!(counter.load(Ordering::Relaxed), 2000);
+    let deps = lattice(&[1; 2000]);
+    let (order, graph) = run(&ThreadPool::new(8), &deps);
+    assert_recorded_and_respected(&deps, &order, &graph);
     for (i, id) in order.iter().enumerate() {
         assert_eq!(id.0, i, "a chain must complete strictly in order");
     }
@@ -65,43 +87,24 @@ fn deep_chain_under_contention() {
 fn wide_fanout_under_contention() {
     // One root releasing 1500 independent tasks, joined by a single sink; the
     // releasing worker floods its own deque and the other 7 must steal.
-    let mut g = TaskGraph::new();
-    let root = g.add_task(TaskKind::Factor, 1.0, &[]);
-    let mids: Vec<TaskId> = (0..1500)
-        .map(|_| g.add_task(TaskKind::Update, 1.0, &[root]))
-        .collect();
-    let _sink = g.add_task(TaskKind::Other, 1.0, &mids);
-    let exec = DagExecutor::new(8);
-    let counter = Arc::new(AtomicU64::new(0));
-    let order = exec.execute(&g, counting_actions(&g, &counter)).unwrap();
-    assert_order_respects_deps(&g, &order);
-    assert_eq!(counter.load(Ordering::Relaxed), 1502);
-    let c = exec.pool().steal_counters();
+    let deps = lattice(&[1, 1500, 1]);
+    let pool = ThreadPool::new(8);
+    let (order, graph) = run(&pool, &deps);
+    assert_recorded_and_respected(&deps, &order, &graph);
+    let c = pool.steal_counters();
     assert_eq!(c.executed, 1502);
     assert_eq!(c.executed, c.local_pops + c.injector_pops + c.steals);
 }
 
 #[test]
 fn diamond_lattice_rounds_under_contention() {
-    // Repeated diamond lattices (fan-out / fan-in layers) on a shared executor:
+    // Repeated diamond lattices (fan-out / fan-in layers) on a shared pool:
     // every round must respect all cross-layer edges and leave nothing behind.
-    let exec = DagExecutor::new(6);
-    for round in 0..25 {
-        let mut g = TaskGraph::new();
-        let mut prev: Vec<TaskId> = Vec::new();
-        for w in [1usize, 16, 3, 24, 1, 9, 2] {
-            prev = (0..w)
-                .map(|_| g.add_task(TaskKind::Update, 1.0, &prev))
-                .collect();
-        }
-        let counter = Arc::new(AtomicU64::new(0));
-        let order = exec.execute(&g, counting_actions(&g, &counter)).unwrap();
-        assert_order_respects_deps(&g, &order);
-        assert_eq!(
-            counter.load(Ordering::Relaxed),
-            g.len() as u64,
-            "round {round}"
-        );
+    let pool = ThreadPool::new(6);
+    let deps = lattice(&[1, 16, 3, 24, 1, 9, 2]);
+    for _round in 0..25 {
+        let (order, graph) = run(&pool, &deps);
+        assert_recorded_and_respected(&deps, &order, &graph);
     }
 }
 
@@ -109,8 +112,6 @@ fn diamond_lattice_rounds_under_contention() {
 fn irregular_lattice_with_random_edges() {
     // Layered graph where each task depends on a pseudo-random subset of the
     // previous layer — closer to a real elimination DAG than a pure diamond.
-    let mut g = TaskGraph::new();
-    let mut prev: Vec<TaskId> = Vec::new();
     let mut seed = 0x9e3779b97f4a7c15u64;
     let mut next = || {
         seed ^= seed << 13;
@@ -118,21 +119,17 @@ fn irregular_lattice_with_random_edges() {
         seed ^= seed << 17;
         seed
     };
+    let mut deps: Vec<Vec<usize>> = Vec::new();
+    let mut prev: Vec<usize> = Vec::new();
     for _layer in 0..40 {
-        let width = 1 + (next() % 12) as usize;
-        let layer: Vec<TaskId> = (0..width)
-            .map(|_| {
-                let deps: Vec<TaskId> = prev.iter().copied().filter(|_| next() % 3 != 0).collect();
-                g.add_task(TaskKind::Update, 1.0 + (next() % 5) as f64, &deps)
-            })
-            .collect();
-        prev = layer;
+        let first = deps.len();
+        for _ in 0..1 + (next() % 12) as usize {
+            deps.push(prev.iter().copied().filter(|_| next() % 3 != 0).collect());
+        }
+        prev = (first..deps.len()).collect();
     }
-    let exec = DagExecutor::new(8);
-    let counter = Arc::new(AtomicU64::new(0));
-    let order = exec.execute(&g, counting_actions(&g, &counter)).unwrap();
-    assert_order_respects_deps(&g, &order);
-    assert_eq!(counter.load(Ordering::Relaxed), g.len() as u64);
+    let (order, graph) = run(&ThreadPool::new(8), &deps);
+    assert_recorded_and_respected(&deps, &order, &graph);
 }
 
 #[test]
@@ -176,27 +173,26 @@ fn pool_survives_mixed_submit_storm() {
 }
 
 #[test]
-fn scoped_execution_under_contention_writes_every_slot() {
-    // execute_scoped with closures borrowing a stack-allocated slot table.
-    let exec = DagExecutor::new(8);
-    let mut g = TaskGraph::new();
-    let roots: Vec<TaskId> = (0..64)
-        .map(|_| g.add_task(TaskKind::Basis, 1.0, &[]))
-        .collect();
-    for chunk in roots.chunks(4) {
-        g.add_task(TaskKind::Factor, 2.0, chunk);
-    }
-    let slots: Vec<Mutex<u32>> = (0..g.len()).map(|_| Mutex::new(0)).collect();
-    let actions: Vec<Option<Box<dyn FnOnce() + Send + '_>>> = (0..g.len())
-        .map(|i| {
+fn stack_borrowing_bodies_write_every_slot() {
+    // Task bodies borrowing a stack-allocated slot table: 64 roots joined four
+    // at a time, every body bumping its own slot exactly once.
+    let pool = ThreadPool::new(8);
+    let slots: Vec<Mutex<u32>> = (0..80).map(|_| Mutex::new(0)).collect();
+    let ((), graph) = live_scope(&pool, |scope| {
+        let bump = |i: usize| {
             let slot = &slots[i];
-            Some(Box::new(move || {
-                *slot.lock().unwrap() += 1;
-            }) as Box<dyn FnOnce() + Send + '_>)
-        })
-        .collect();
-    let order = exec.execute_scoped(&g, actions).unwrap();
-    assert_order_respects_deps(&g, &order);
+            move |_: &_| *slot.lock().unwrap() += 1
+        };
+        let roots: Vec<TaskId> = (0..64)
+            .map(|i| scope.submit(TaskKind::Basis, 1.0, &[], bump(i)))
+            .collect();
+        for (c, chunk) in roots.chunks(4).enumerate() {
+            scope.submit(TaskKind::Factor, 2.0, chunk, bump(64 + c));
+        }
+    })
+    .expect("clean run");
+    assert_eq!(graph.len(), 80);
+    assert_eq!(graph.num_roots(), 64);
     for (i, slot) in slots.iter().enumerate() {
         assert_eq!(
             *slot.lock().unwrap(),

@@ -1,11 +1,10 @@
 //! Integration + property tests of the runtime substrate: the recorded factorization
-//! task graphs, the scheduler simulator and the work-stealing executor.
+//! task graphs, the scheduler simulator and `live_scope`.
 
 use h2ulv::prelude::*;
-use h2ulv::runtime::{DagExecutor, TaskKind};
+use h2ulv::runtime::{live_scope, TaskKind, ThreadPool};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 
 #[test]
 fn factorization_task_graphs_have_the_claimed_parallelism_gap() {
@@ -82,48 +81,36 @@ fn simulated_scaling_shows_the_figure_11_mechanisms() {
 }
 
 #[test]
-fn dag_executor_runs_a_recorded_graph_with_real_closures() {
-    // Execute a small synthetic level-structured graph and verify ordering.
-    let mut g = TaskGraph::new();
-    let leaves: Vec<_> = (0..6)
-        .map(|_| g.add_task(TaskKind::Factor, 1.0, &[]))
-        .collect();
-    let merge = g.add_task(TaskKind::Other, 1.0, &leaves);
-    let _root = g.add_task(TaskKind::Factor, 1.0, &[merge]);
-    let counter = Arc::new(AtomicUsize::new(0));
-    let order = Arc::new(parking_lot_stub::Mutex::new(Vec::new()));
-    let actions: Vec<Option<Box<dyn FnOnce() + Send>>> = (0..g.len())
-        .map(|i| {
-            let c = Arc::clone(&counter);
-            let o = Arc::clone(&order);
-            Some(Box::new(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-                o.lock().push(i);
-            }) as Box<dyn FnOnce() + Send>)
-        })
-        .collect();
-    let exec = DagExecutor::new(4);
-    let done = exec.execute(&g, actions).unwrap();
-    assert_eq!(done.len(), 8);
-    assert_eq!(counter.load(Ordering::SeqCst), 8);
-    let seq = order.lock().clone();
+fn live_scope_runs_a_recorded_graph_with_real_closures() {
+    // Execute a small level-structured graph and verify the ordering and the
+    // graph the scope hands back.
+    let order = Mutex::new(Vec::new());
+    let pool = ThreadPool::new(4);
+    let ((), g) = live_scope(&pool, |scope| {
+        let log = |i: usize| {
+            let order = &order;
+            move |_: &_| order.lock().unwrap().push(i)
+        };
+        let leaves: Vec<_> = (0..6)
+            .map(|i| scope.submit(TaskKind::Factor, 1.0, &[], log(i)))
+            .collect();
+        let merge = scope.submit(TaskKind::Other, 1.0, &leaves, log(6));
+        scope.submit(TaskKind::Factor, 1.0, &[merge], log(7));
+    })
+    .unwrap();
+    assert_eq!(g.len(), 8);
+    assert_eq!(g.num_roots(), 6);
+    assert!(g.validate());
+    let seq = order.into_inner().unwrap();
+    assert_eq!(seq.len(), 8);
     let pos = |x: usize| seq.iter().position(|&v| v == x).unwrap();
-    for l in 0..6 {
-        assert!(pos(l) < pos(6), "leaf {l} must finish before the merge");
-    }
-    assert!(pos(6) < pos(7), "merge before root");
-}
-
-/// Tiny mutex shim so the test does not need a direct parking_lot dependency.
-mod parking_lot_stub {
-    pub use std::sync::Mutex as StdMutex;
-    pub struct Mutex<T>(StdMutex<T>);
-    impl<T> Mutex<T> {
-        pub fn new(v: T) -> Self {
-            Mutex(StdMutex::new(v))
-        }
-        pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-            self.0.lock().unwrap()
+    for n in g.iter() {
+        for d in &n.deps {
+            assert!(
+                pos(d.0) < pos(n.id.0),
+                "{d:?} must finish before {:?}",
+                n.id
+            );
         }
     }
 }
