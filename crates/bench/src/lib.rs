@@ -1,11 +1,12 @@
-//! # h2-bench — benchmark harness
+//! # h2-bench — the paper's figures and tables
 //!
-//! One binary per table/figure of the paper.
-//! This library holds the shared plumbing: problem setup, solver invocation wrappers,
-//! result tables and the scaled-down default problem sizes used on the single-core
-//! reproduction machine.
+//! One binary per table/figure of the paper.  This library holds the shared
+//! plumbing: problem setup, solver invocation wrappers, result tables and the
+//! scaled-down default problem sizes.  Performance numbers come from
+//! `perfbench/`, not from here.
 //!
-//! Every binary honours the `H2_BENCH_SCALE` environment variable:
+//! Every binary honours the `H2_BENCH_SCALE` environment variable, their one
+//! switch:
 //!
 //! * `smoke` — tiny sizes, seconds (used by the integration tests),
 //! * `small` — default, minutes on one core,
@@ -15,7 +16,7 @@
 
 use std::time::Instant;
 
-use h2_factor::{CompressionMode, FactorOptions, SketchPrecision, UlvFactors};
+use h2_factor::{FactorOptions, UlvFactors};
 use h2_geometry::{
     crowded_scene, molecule_surface, uniform_cube, Admissibility, ClusterTree, Kernel,
     LaplaceKernel, MoleculeConfig, PartitionStrategy, YukawaKernel,
@@ -146,61 +147,16 @@ pub struct RunResult {
     pub residual: Option<f64>,
 }
 
-/// Compression mode selected through `H2_COMPRESSION` for A/B runs.  Values:
-/// `direct`, `sketched` (Gaussian, the PR-3 fast path), `srft` (mixed-precision
-/// structured sketch, the default), `srft-f64` (same sketch, f64 mixing).
-/// Unset or unknown values fall back to the library default.
-pub fn compression_from_env() -> CompressionMode {
-    match std::env::var("H2_COMPRESSION").as_deref() {
-        Ok("direct") => CompressionMode::Direct,
-        Ok("sketched") | Ok("gaussian") => CompressionMode::Sketched { oversample: 64 },
-        Ok("srft-f64") => CompressionMode::Srft {
-            oversample: 64,
-            precision: SketchPrecision::F64,
-        },
-        Ok("srft") => CompressionMode::Srft {
-            oversample: 64,
-            precision: SketchPrecision::F32,
-        },
-        _ => CompressionMode::default(),
-    }
-}
-
-/// Short stable name of a compression mode for logs and JSON.
-pub fn compression_name(mode: CompressionMode) -> &'static str {
-    match mode {
-        CompressionMode::Direct => "direct",
-        CompressionMode::Sketched { .. } => "sketched-gaussian",
-        CompressionMode::Srft {
-            precision: SketchPrecision::F32,
-            ..
-        } => "srft-f32",
-        CompressionMode::Srft {
-            precision: SketchPrecision::F64,
-            ..
-        } => "srft-f64",
-    }
-}
-
-/// Default factorization options for the H²-ULV solver at a given tolerance.
-/// `H2_RANK_GROWTH` overrides the per-level rank-cap growth factor for cap
-/// experiments (see `FactorOptions::max_rank_growth`).
+/// Factorization options of every paper binary for the H²-ULV solver at a
+/// given tolerance.
 pub fn h2_options(tol: f64) -> FactorOptions {
-    let mut opts = FactorOptions {
+    FactorOptions {
         tol,
         max_rank: Some(256),
         admissibility: Admissibility::strong(1.0),
         basis_mode: BasisMode::Sampled { max_samples: 512 },
-        compression: compression_from_env(),
         ..FactorOptions::default()
-    };
-    if let Some(g) = std::env::var("H2_RANK_GROWTH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        opts.max_rank_growth = g;
     }
-    opts
 }
 
 /// Run the paper's solver (H²-ULV without dependencies) on a workload.

@@ -47,18 +47,6 @@ pub enum Schedule {
     Phased,
 }
 
-impl Schedule {
-    /// Resolve the effective schedule: the `H2_SCHEDULE` environment variable
-    /// (`fused` / `phased`) overrides the option, mirroring `H2_NUM_THREADS`.
-    pub fn resolve(self) -> Schedule {
-        match std::env::var("H2_SCHEDULE").ok().as_deref() {
-            Some("phased") => Schedule::Phased,
-            Some("fused") => Schedule::Fused,
-            _ => self,
-        }
-    }
-}
-
 /// Options of a ULV factorization.
 #[derive(Debug, Clone, Copy)]
 pub struct FactorOptions {
@@ -70,9 +58,9 @@ pub struct FactorOptions {
     /// `d` levels above the leaves is `ceil(max_rank * max_rank_growth^d)`.
     /// Upper-level clusters aggregate the skeletons of their children, so their
     /// true interaction ranks grow with depth; a flat cap saturates there and
-    /// poisons the accuracy of the whole factorization (observed as the n=8192
-    /// residual blow-up in BENCH_factor.json) while a modest geometric
-    /// allowance tracks the true rank growth.  `1.0` restores the flat cap.
+    /// poisons the accuracy of the whole factorization (the residual blows up
+    /// by n=8192) while a modest geometric allowance tracks the true rank
+    /// growth.  `1.0` restores the flat cap.
     pub max_rank_growth: f64,
     /// Admissibility condition (weak → HSS-like, strong → H²-like).
     pub admissibility: Admissibility,
@@ -106,7 +94,6 @@ pub struct FactorOptions {
     /// Fused (one cross-level graph) or phased (per-level gates) execution.
     /// Excluded from [`FactorOptions::fingerprint`]: both schedules produce
     /// bitwise identical factors (asserted by the `fused_schedule` tests).
-    /// `H2_SCHEDULE=fused|phased` overrides at factor time.
     pub schedule: Schedule,
 }
 

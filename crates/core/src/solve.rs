@@ -30,7 +30,7 @@ use h2_matrix::{gemm_colwise, gemv, matmul_tn_colwise, Matrix, SolverError, Solv
 use std::sync::atomic::Ordering;
 
 use crate::options::Hierarchy;
-use crate::ulv::{LevelFactor, UlvFactors};
+use crate::ulv::UlvFactors;
 
 /// `Y -= M * X` for a dense panel: width-stable, no-op on empty operands.
 fn sub_panel(y: &mut Matrix, m: &Matrix, x: &Matrix) {
@@ -380,13 +380,14 @@ impl UlvFactors {
         let w = b.cols();
         let col_norm2 = |m: &Matrix, j: usize| m.col(j).iter().map(|a| a * a).sum::<f64>();
         let mut best = x.clone();
-        let r0 = self.kernel_residual_panel(kernel, b, &x);
-        let mut best_rr: Vec<f64> = (0..w).map(|j| col_norm2(&r0, j)).collect();
+        // One exact-kernel sweep per iterate: the residual that scores a step
+        // is the right-hand side of the next one.
+        let mut r = self.kernel_residual_panel(kernel, b, &x);
+        let mut best_rr: Vec<f64> = (0..w).map(|j| col_norm2(&r, j)).collect();
         for _ in 0..steps {
             if best_rr.iter().all(|&rr| rr == 0.0) {
                 break;
             }
-            let r = self.kernel_residual_panel(kernel, b, &x);
             let dx = self.vsolve_inner(&r);
             for j in 0..w {
                 if best_rr[j] == 0.0 {
@@ -396,12 +397,12 @@ impl UlvFactors {
                     *xi += di;
                 }
             }
-            let rnew = self.kernel_residual_panel(kernel, b, &x);
+            r = self.kernel_residual_panel(kernel, b, &x);
             for j in 0..w {
                 if best_rr[j] == 0.0 {
                     continue;
                 }
-                let rr = col_norm2(&rnew, j);
+                let rr = col_norm2(&r, j);
                 if rr < best_rr[j] {
                     best_rr[j] = rr;
                     best.col_mut(j).copy_from_slice(x.col(j));
@@ -554,11 +555,4 @@ impl UlvFactors {
         let bb: f64 = b.iter().map(|v| v * v).sum();
         Ok(((rr * n as f64 / p as f64) / bb.max(f64::MIN_POSITIVE)).sqrt())
     }
-}
-
-/// Used by documentation examples and tests to access level data generically.
-pub fn level_summary(lf: &LevelFactor) -> (usize, usize, usize) {
-    let total_active: usize = lf.clusters.iter().map(|c| c.active).sum();
-    let total_skeleton: usize = lf.clusters.iter().map(|c| c.skeleton).sum();
-    (lf.level, total_active, total_skeleton)
 }

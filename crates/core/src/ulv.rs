@@ -1100,7 +1100,6 @@ impl UlvFactorization {
         let meters = GraphMeters::new();
         let root_out: OnceLock<SolverResult<RootOut>> = OnceLock::new();
         let bad_leaf_block = AtomicUsize::new(usize::MAX);
-        let schedule = opts.schedule.resolve();
         let ctx = RegisterCtx {
             kernel,
             tree,
@@ -1128,7 +1127,7 @@ impl UlvFactorization {
                     rest.first_mut(),
                     gate,
                 );
-                if schedule == Schedule::Phased {
+                if opts.schedule == Schedule::Phased {
                     gate = Some(scope.submit(TaskKind::Other, 0.0, &cur[0].all, |_| {}));
                 }
             }

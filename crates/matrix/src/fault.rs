@@ -1,9 +1,10 @@
 //! Deterministic fault injection for the robustness harness.
 //!
 //! A fault plan describes one fault class to inject into the solver pipeline.
-//! It is normally read from the `H2_FAULT` environment variable
-//! (`H2_FAULT=<kind>:<param>`), but tests can install a plan programmatically
-//! with [`set_plan`] to avoid process-global environment races.
+//! Tests install one with [`set_plan`]; the library itself never reads the
+//! environment.  The CI entry points (`tests/fault_injection.rs`,
+//! `tests/comm_chaos.rs`) take a `<kind>:<param>` spec from `H2_FAULT`, turn
+//! it into a plan with [`parse`] and install it themselves.
 //!
 //! Supported specs:
 //!
@@ -108,21 +109,14 @@ pub enum FaultPlan {
     },
 }
 
-enum PlanState {
-    /// Environment not yet consulted.
-    Unread,
-    /// Resolved plan (explicit override or parsed environment).
-    Resolved(Option<FaultPlan>),
-}
-
-static PLAN: RwLock<PlanState> = RwLock::new(PlanState::Unread);
+static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
 
 /// Counter for `task_panic` plans: every DAG task action draws one sequence
 /// number at creation time.
 static TASK_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Parse a `H2_FAULT` spec.  Returns a human-readable message on malformed
-/// input so callers can surface what was wrong instead of a backtrace.
+/// Parse a `<kind>:<param>` fault spec.  Returns a human-readable message on
+/// malformed input so callers can surface what was wrong instead of a backtrace.
 pub fn parse(spec: &str) -> Result<FaultPlan, String> {
     let (kind, param) = spec
         .split_once(':')
@@ -184,40 +178,19 @@ pub fn parse(spec: &str) -> Result<FaultPlan, String> {
     }
 }
 
-/// The active fault plan, resolving `H2_FAULT` on first use.  A malformed
-/// environment spec is reported once on stderr and then ignored — fault
-/// injection must never be able to break a production run.
+/// The installed fault plan; `None` until a test calls [`set_plan`].  The
+/// library never consults the environment, so a production process cannot be
+/// fault-injected from outside.
 pub fn plan() -> Option<FaultPlan> {
-    if let Ok(guard) = PLAN.read() {
-        if let PlanState::Resolved(p) = *guard {
-            return p;
-        }
-    }
-    let resolved = match std::env::var("H2_FAULT") {
-        Ok(spec) => match parse(&spec) {
-            Ok(p) => Some(p),
-            Err(msg) => {
-                eprintln!("H2_FAULT ignored: {msg}");
-                None
-            }
-        },
-        Err(_) => None,
-    };
-    if let Ok(mut guard) = PLAN.write() {
-        if let PlanState::Resolved(p) = *guard {
-            return p; // another thread resolved first
-        }
-        *guard = PlanState::Resolved(resolved);
-    }
-    resolved
+    PLAN.read().ok().and_then(|guard| *guard)
 }
 
-/// Install (or clear, with `None`) the fault plan explicitly, bypassing the
-/// environment.  Also resets the `task_panic` sequence counter so plans are
-/// reproducible within one process.  Intended for tests.
+/// Install (or clear, with `None`) the fault plan.  Also resets the
+/// `task_panic` sequence counter so plans are reproducible within one
+/// process.  Intended for tests.
 pub fn set_plan(p: Option<FaultPlan>) {
     if let Ok(mut guard) = PLAN.write() {
-        *guard = PlanState::Resolved(p);
+        *guard = p;
     }
     TASK_SEQ.store(0, Ordering::SeqCst);
 }

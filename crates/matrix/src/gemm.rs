@@ -5,9 +5,7 @@
 //! [`crate::kernel`] (MC/KC/NC cache blocking, MR×NR register tiles, optional
 //! column-band parallelism); small products stay on a simple cache-blocked
 //! column-major loop whose packing-free form wins below the
-//! [`crate::kernel::PACK_FLOP_THRESHOLD`] crossover.  The simple loop is also
-//! kept as [`gemm_seed`] so benchmarks can measure the speedup of the packed
-//! path against the original kernel on equal terms.
+//! [`crate::kernel::PACK_FLOP_THRESHOLD`] crossover.
 
 use crate::flops::{add_flops, cost};
 use crate::kernel;
@@ -87,16 +85,6 @@ pub fn gemm(
     } else {
         gemm_nn(alpha, a_ref, b_ref, c);
     }
-}
-
-/// The seed (pre-packing) kernel: `C = A * B` through the simple blocked loop,
-/// regardless of size.  Kept as the benchmark baseline for
-/// `bench_kernels` speedup measurements.
-pub fn gemm_seed(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "gemm_seed: inner dimensions differ");
-    let mut c = Matrix::zeros(a.rows(), b.cols());
-    gemm_nn(1.0, a, b, &mut c);
-    c
 }
 
 /// `C += alpha * A * B` with everything column-major and untransposed.

@@ -41,9 +41,7 @@ pub use fp32::{
     gemm_packed_f32, matmul_f32, matmul_tn_f32, pack_f64_to_f32, pivoted_qr_f32,
     promote_f32_to_f64, MatrixF32, PivotedQrF32,
 };
-pub use gemm::{
-    gemm, gemm_colwise, gemm_seed, gemv, matmul, matmul_nt, matmul_tn, matmul_tn_colwise,
-};
+pub use gemm::{gemm, gemm_colwise, gemv, matmul, matmul_nt, matmul_tn, matmul_tn_colwise};
 pub use kernel::{gemm_packed, matmul_batch, matmul_batch_shared_a, matmul_tn_batch_shared_a};
 pub use lu::{lu_factor, lu_solve, lu_solve_mat, Lu};
 pub use matrix::Matrix;

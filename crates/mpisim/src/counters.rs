@@ -6,8 +6,8 @@
 //! the network time model instead of measuring wall-clock communication,
 //! because all ranks share one physical core in the reproduction environment.
 //! The robustness counters (retries, timeouts, corrupt frames, duplicates,
-//! rank failures) feed the `robustness` block of `BENCH_factor.json` and the
-//! chaos suite's assertions that each injected fault class was actually hit.
+//! rank failures) feed the chaos suite's assertions that each injected fault
+//! class was actually hit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -305,9 +305,10 @@ fn unmeetable_tolerance_is_a_typed_error_with_escalations_counted() {
     }
 }
 
-/// CI entry point: honors an `H2_FAULT` spec from the environment (the same
-/// parser production code uses) and asserts the run either recovers or fails
-/// with a typed error — zero aborts for every spec in the CI matrix.
+/// CI entry point: takes an `H2_FAULT` spec from the environment (the library
+/// itself never reads it), installs it as the plan and asserts the run either
+/// recovers or fails with a typed error — zero aborts for every spec in the
+/// CI matrix.
 #[test]
 fn env_driven_fault_is_survivable() {
     let plan = match std::env::var("H2_FAULT") {

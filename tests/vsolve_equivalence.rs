@@ -12,6 +12,7 @@
 use h2ulv::factor::{CompressionMode, SketchPrecision};
 use h2ulv::prelude::*;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const LEAF: usize = 32;
 
@@ -111,6 +112,61 @@ fn vsolve_matches_solves_for_gaussian_compression() {
 #[test]
 fn width_one_vsolve_is_exactly_solve() {
     check_equivalence(160, 1, 19, 1e-8, 2, 2);
+}
+
+/// Laplace kernel that counts block assemblies (every other method delegates).
+struct CountingKernel {
+    inner: LaplaceKernel,
+    assemblies: AtomicUsize,
+}
+
+impl Kernel for CountingKernel {
+    fn eval(&self, x: &Point3, y: &Point3) -> f64 {
+        self.inner.eval(x, y)
+    }
+    fn diagonal(&self) -> f64 {
+        self.inner.diagonal()
+    }
+    fn eval_batch(&self, xs: &[f64], ys: &[f64], zs: &[f64], y: &Point3, out: &mut [f64]) {
+        self.inner.eval_batch(xs, ys, zs, y, out)
+    }
+    fn assemble_into(&self, points: &[Point3], rows: &[usize], cols: &[usize], out: &mut Matrix) {
+        self.assemblies.fetch_add(1, Ordering::Relaxed);
+        self.inner.assemble_into(points, rows, cols, out)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn fingerprint_params(&self) -> Vec<f64> {
+        self.inner.fingerprint_params()
+    }
+}
+
+/// `steps` refinement steps cost `steps + 1` exact-kernel sweeps (one per
+/// iterate: the residual that scores a step is the next step's right-hand
+/// side), each `ceil(n / 512)` row-block assemblies, at any panel width.
+#[test]
+fn refinement_sweeps_the_kernel_once_per_iterate() {
+    let (n, steps) = (1024, 2);
+    let points = uniform_cube(n, 5);
+    let tree = ClusterTree::build(&points, 64, PartitionStrategy::KMeans, 0);
+    let kernel = CountingKernel {
+        inner: LaplaceKernel::default(),
+        assemblies: AtomicUsize::new(0),
+    };
+    let f = h2_ulv_nodep(&kernel.inner, &tree, &options(1e-6, 2)).expect("factor");
+    let cols = random_panel(n, 3, 23);
+    let x_panel = f
+        .vsolve_refined(&kernel, &Matrix::from_columns(&cols), steps)
+        .expect("vsolve_refined");
+    assert_eq!(
+        kernel.assemblies.load(Ordering::Relaxed),
+        (steps + 1) * n.div_ceil(512)
+    );
+    for (j, col) in cols.iter().enumerate() {
+        let x_single = f.solve_refined(&kernel, col, steps).expect("solve_refined");
+        assert_bitwise_col(&x_panel, j, &x_single, "vsolve_refined");
+    }
 }
 
 proptest! {
