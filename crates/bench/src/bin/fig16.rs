@@ -3,14 +3,14 @@
 //!
 //! The reproduction cannot run 10,240 ranks; instead the measured factorization is
 //! replayed through the process-tree + (alpha, beta) network cost model of
-//! `h2-factor::dist` (see DESIGN.md §3).  LORAPO's distributed time is modelled from
+//! `h2_factor::dist`.  LORAPO's distributed time is modelled from
 //! its task DAG (critical path + per-task runtime overhead + the same network model),
 //! which reproduces the paper's qualitative result: the O(N) dependency-free solver
 //! keeps scaling, the O(N^2) baseline does not, and the gap widens with N.
 
 use h2_bench::{print_table, run_h2ulv, Scale, Workload};
-use h2_factor::dist::{estimate_distributed, replay_skeleton_exchange, DistConfig};
-use h2_mpisim::{allgather_time, CommConfig, NetworkModel};
+use h2_factor::dist::{estimate_distributed, DistConfig};
+use h2_mpisim::{allgather_time, NetworkModel};
 use h2_runtime::{simulate_schedule, SimConfig};
 
 fn main() -> h2_matrix::SolverResult<()> {
@@ -18,20 +18,6 @@ fn main() -> h2_matrix::SolverResult<()> {
     let ranks = [64usize, 160, 320, 640, 1280, 2560, 5120, 10240];
     for &n in &scale.distributed_sizes() {
         let (_, ours) = run_h2ulv(Workload::YukawaMolecule, n, scale.leaf_size(), 1e-6)?;
-        // Sanity-check the communication pattern on real in-process ranks
-        // before trusting the cost model: 4 ranks run the level-by-level
-        // split + allgather of the measured skeleton sizes (transport and
-        // deadlines from H2_TRANSPORT / H2_COMM_DEADLINE_MS) and must agree
-        // on one digest.  A communicator fault propagates as a typed error.
-        let digests = replay_skeleton_exchange(&ours, 4, &CommConfig::from_env())?;
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "skeleton-exchange replay diverged across ranks: {digests:?}"
-        );
-        println!(
-            "skeleton-exchange replay on 4 live ranks agreed (digest {:016x})",
-            digests[0]
-        );
         let tile = scale.blr_leaf_size().min(n / 4).max(64);
         let tiles = (n / tile).max(2);
         let lorapo_dag = h2_lorapo::build_blr_lu_dag(tiles, tile, 50.min(tile));

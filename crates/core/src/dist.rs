@@ -7,7 +7,7 @@
 //! communicator; the upper levels are then computed redundantly by every rank of the
 //! group.
 //!
-//! The reproduction machine has one physical core, so rather than timing real ranks we
+//! The reproduction host has two virtual CPUs, so rather than timing real ranks we
 //! *replay the measured factorization* on the process-tree model:
 //!
 //! * per-rank compute time comes from the per-level, per-cluster task costs recorded
@@ -16,19 +16,8 @@
 //!   must exchange, charged with the (alpha, beta) network model,
 //! * upper levels are charged to every rank (redundant computation), exactly like the
 //!   paper's scheme.
-//!
-//! The functional correctness of the communication pattern itself (split + allgather)
-//! is exercised on real in-process ranks by [`replay_skeleton_exchange`], which runs
-//! the level-by-level split + allgather of the measured skeleton sizes on a live
-//! [`Universe`] — over either transport — and folds what every rank saw into a
-//! digest.  Communicator faults surface as typed [`SolverError::Comm`] values
-//! instead of deadlocks.
 
-use h2_matrix::{SolverError, SolverResult};
-use h2_mpisim::{
-    allgather_time, CommConfig, CommError, NetworkModel, ProcessTree, Universe, Xxh64,
-};
-use std::sync::Arc;
+use h2_mpisim::{allgather_time, NetworkModel, ProcessTree};
 
 use crate::ulv::UlvFactors;
 
@@ -150,80 +139,6 @@ pub fn estimate_distributed(factors: &UlvFactors, ranks: usize, cfg: &DistConfig
     }
 }
 
-/// Replay the paper's skeleton exchange on `ranks` real in-process ranks.
-///
-/// For every process-tree level, pairs of merging rank groups split off a
-/// sub-communicator and allgather the skeleton sizes of the clusters their
-/// first rank owns at that level — the same communication pattern the
-/// distributed factorization would run, with the measured skeleton sizes of
-/// `factors` as payloads.  Each rank folds everything it received (in rank
-/// order) into an XXH64 digest, the digests are allgathered world-wide and
-/// folded again, so the returned per-rank values agree on every rank exactly
-/// when all ranks observed bitwise-identical traffic.
-///
-/// A communicator fault on any rank (timeout, dead peer, corrupt frame) is
-/// returned as [`SolverError::Comm`] instead of deadlocking the replay.
-pub fn replay_skeleton_exchange(
-    factors: &UlvFactors,
-    ranks: usize,
-    cfg: &CommConfig,
-) -> SolverResult<Vec<u64>> {
-    assert!(ranks > 0);
-    // Snapshot of `(level, skeleton sizes)` that the SPMD closure can own.
-    let skeletons: Arc<Vec<(usize, Vec<usize>)>> = Arc::new(
-        factors
-            .levels
-            .iter()
-            .map(|lf| (lf.level, lf.clusters.iter().map(|c| c.skeleton).collect()))
-            .collect(),
-    );
-    let results: Vec<Result<u64, CommError>> = Universe::run_config(ranks, cfg, move |mut comm| {
-        let rank = comm.rank();
-        let ptree = ProcessTree::new(comm.size());
-        let mut digest = Xxh64::new(0x5bee_d5eed);
-        for level in (1..=ptree.depth).rev() {
-            let Some((_, sizes)) = skeletons.iter().find(|(l, _)| *l == level) else {
-                continue; // process tree deeper than the cluster tree
-            };
-            // Merging from `level` to `level - 1`: the ranks of each parent
-            // node form one group and exchange their skeleton contributions.
-            let color = ptree.cluster_of_rank(rank, level - 1) as i64;
-            let mut group = comm.split(color, rank as i64)?;
-            let payload: Vec<f64> = sizes
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| ptree.owners(level, k).0 == rank)
-                .map(|(_, &s)| s as f64)
-                .collect();
-            let gathered = group.allgather(level as u64, &payload)?;
-            for (grank, part) in gathered.iter().enumerate() {
-                digest.write_u64(level as u64);
-                digest.write_u64(grank as u64);
-                digest.write_u64(part.len() as u64);
-                for v in part {
-                    digest.write_u64(v.to_bits());
-                }
-            }
-        }
-        // World-wide agreement check: everyone folds everyone's digest.
-        let mine = digest.finish();
-        let all = comm.allgather(0x00d1_6e57, &[f64::from_bits(mine)])?;
-        comm.barrier(0x000f_e2ce)?;
-        let mut fold = Xxh64::new(1);
-        for part in &all {
-            for v in part {
-                fold.write_u64(v.to_bits());
-            }
-        }
-        Ok(fold.finish())
-    });
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r.map_err(SolverError::from)?);
-    }
-    Ok(out)
-}
-
 /// Sweep the distributed estimate over several rank counts.
 pub fn strong_scaling_sweep(
     factors: &UlvFactors,
@@ -288,38 +203,5 @@ mod tests {
         assert!(e.time_seconds.is_finite() && e.time_seconds > 0.0);
         assert!(e.compute_seconds > 0.0);
         assert!(e.comm_seconds >= 0.0);
-    }
-
-    #[test]
-    fn replay_ranks_agree_on_one_digest() {
-        let f = factors();
-        let digests = replay_skeleton_exchange(&f, 4, &CommConfig::default()).unwrap();
-        assert_eq!(digests.len(), 4);
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "ranks disagree: {digests:?}"
-        );
-        // The replay is deterministic run-to-run.
-        let again = replay_skeleton_exchange(&f, 4, &CommConfig::default()).unwrap();
-        assert_eq!(digests, again);
-        // A single rank degenerates to the empty exchange but still succeeds.
-        let solo = replay_skeleton_exchange(&f, 1, &CommConfig::default()).unwrap();
-        assert_eq!(solo.len(), 1);
-    }
-
-    #[test]
-    fn replay_is_bitwise_identical_across_transports() {
-        use h2_mpisim::TransportKind;
-        let f = factors();
-        let channel = replay_skeleton_exchange(&f, 4, &CommConfig::default()).unwrap();
-        let socket_cfg = CommConfig {
-            transport: TransportKind::Socket,
-            ..CommConfig::default()
-        };
-        let socket = replay_skeleton_exchange(&f, 4, &socket_cfg).unwrap();
-        assert_eq!(
-            channel, socket,
-            "transports disagree on the exchange digest"
-        );
     }
 }

@@ -10,7 +10,7 @@
 //! | [`variants::blr2_ulv`] | weak or strong | single level + dense root | none (weak) | §II-B |
 //! | [`variants::hss_ulv`]  | weak | multi-level | none | §II-C |
 //! | [`variants::h2_ulv_nodep`] | strong | multi-level | pre-computed, folded into the shared bases | §III (the contribution) |
-//! | [`variants::h2_ulv_dep`]   | strong | multi-level | same bases, but sequential elimination with exact trailing updates | §II-D (ablation) |
+//! | [`variants::h2_ulv_dep`]   | strong | multi-level | same numerics as `h2_ulv_nodep`, plus one task-graph edge from each pivot elimination to the previous one | §II-D (ablation) |
 //!
 //! The factorization returns a [`ulv::UlvFactors`] object that solves linear systems
 //! in O(N) and carries the task graph it executed — as recorded by
@@ -34,9 +34,7 @@ pub mod ulv;
 pub mod variants;
 
 pub use dense::{dense_solve, DenseReference};
-pub use dist::{
-    estimate_distributed, replay_skeleton_exchange, strong_scaling_sweep, DistConfig, DistEstimate,
-};
+pub use dist::{estimate_distributed, strong_scaling_sweep, DistConfig, DistEstimate};
 pub use options::{CompressionMode, FactorOptions, Hierarchy, Schedule, SketchPrecision, Variant};
 pub use session::Analysis;
 pub use ulv::{

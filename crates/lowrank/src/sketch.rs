@@ -120,8 +120,8 @@ pub fn srft_detect_tol(tol: f64, precision: SketchPrecision) -> f64 {
     }
 }
 
-/// A `n x s` Gaussian-ish test matrix (sum of four uniforms, same construction as
-/// `randomized_range`), deterministic in the seed.
+/// A `n x s` Gaussian-ish test matrix (sum of four uniforms), deterministic in the
+/// seed.
 pub fn gaussian_test_matrix(n: usize, s: usize, seed: u64) -> Matrix {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     Matrix::from_fn(n, s, |_, _| {

@@ -1,16 +1,7 @@
 //! Tolerance-driven compression of dense blocks.
 
 use crate::lowrank::LowRank;
-use h2_matrix::{jacobi_svd, matmul_tn, truncated_pivoted_qr, Matrix};
-
-/// Which dense-block compressor to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressionMethod {
-    /// Column-pivoted QR (the paper's default, Eqs. 2–3).
-    PivotedQr,
-    /// SVD truncation (optimal rank for a given tolerance; slower).
-    Svd,
-}
+use h2_matrix::{matmul_tn, truncated_pivoted_qr, Matrix};
 
 /// Compress a dense block to relative tolerance `tol` using column-pivoted QR.
 /// The result satisfies `||A - U V^T||_F <~ tol * ||A||_F` with `U` orthonormal.
@@ -25,53 +16,10 @@ pub fn compress_block(a: &Matrix, tol: f64, max_rank: Option<usize>) -> LowRank 
     LowRank::new(u, v)
 }
 
-/// Compress a dense block to relative tolerance `tol` using the SVD (rank-optimal).
-pub fn compress_block_svd(a: &Matrix, tol: f64, max_rank: Option<usize>) -> LowRank {
-    if a.is_empty() {
-        return LowRank::zero(a.rows(), a.cols());
-    }
-    // The pivoted-QR compressor cannot fail, so it backstops an SVD breakdown
-    // (the Jacobi sweep practically always converges on finite input).
-    let svd = match jacobi_svd(a) {
-        Ok(svd) => svd,
-        Err(_) => return compress_block(a, tol, max_rank),
-    };
-    let mut rank = svd.rank(tol);
-    if let Some(cap) = max_rank {
-        rank = rank.min(cap);
-    }
-    if rank == 0 {
-        return LowRank::zero(a.rows(), a.cols());
-    }
-    let cols: Vec<usize> = (0..rank).collect();
-    let u = svd.u.select_cols(&cols);
-    let mut v = svd.v.select_cols(&cols);
-    // Absorb the singular values into V so U stays orthonormal.
-    for (j, &s) in svd.s[..rank].iter().enumerate() {
-        for x in v.col_mut(j) {
-            *x *= s;
-        }
-    }
-    LowRank::new(u, v)
-}
-
-/// Compress with the requested method.
-pub fn compress_with(
-    a: &Matrix,
-    tol: f64,
-    max_rank: Option<usize>,
-    method: CompressionMethod,
-) -> LowRank {
-    match method {
-        CompressionMethod::PivotedQr => compress_block(a, tol, max_rank),
-        CompressionMethod::Svd => compress_block_svd(a, tol, max_rank),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_matrix::{fro_norm, matmul_nt, rel_fro_error};
+    use h2_matrix::{matmul_nt, rel_fro_error};
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -89,11 +37,9 @@ mod tests {
     #[test]
     fn exact_rank_is_recovered() {
         let a = exact_low_rank(30, 24, 5);
-        for method in [CompressionMethod::PivotedQr, CompressionMethod::Svd] {
-            let lr = compress_with(&a, 1e-10, None, method);
-            assert_eq!(lr.rank(), 5, "{method:?}");
-            assert!(rel_fro_error(&lr.to_dense(), &a) < 1e-9);
-        }
+        let lr = compress_block(&a, 1e-10, None);
+        assert_eq!(lr.rank(), 5);
+        assert!(rel_fro_error(&lr.to_dense(), &a) < 1e-9);
     }
 
     #[test]
@@ -110,26 +56,14 @@ mod tests {
             // Pivoted QR's R-diagonal bound is not exactly the Frobenius error, allow
             // an order of magnitude of slack.
             assert!(err < tol * 20.0, "tol {tol}: err {err}");
-            let lr_svd = compress_block_svd(&a, tol, None);
-            assert!(
-                lr_svd.rank() <= lr.rank() + 1,
-                "SVD rank should not exceed QR rank"
-            );
         }
     }
 
     #[test]
-    fn rank_cap_is_respected_and_svd_is_optimal() {
+    fn rank_cap_is_respected() {
         let a = exact_low_rank(20, 20, 8);
         let lr = compress_block(&a, 1e-14, Some(3));
         assert_eq!(lr.rank(), 3);
-        let lr_svd = compress_block_svd(&a, 1e-14, Some(3));
-        assert_eq!(lr_svd.rank(), 3);
-        // The capped SVD is the best rank-3 approximation: its error must not exceed
-        // the QR-based one by more than a rounding factor.
-        let e_qr = fro_norm(&(&lr.to_dense() - &a));
-        let e_svd = fro_norm(&(&lr_svd.to_dense() - &a));
-        assert!(e_svd <= e_qr * (1.0 + 1e-10));
     }
 
     #[test]
@@ -137,7 +71,7 @@ mod tests {
         let z = Matrix::zeros(6, 4);
         let lr = compress_block(&z, 1e-8, None);
         assert_eq!(lr.rank(), 0);
-        let lr = compress_block_svd(&Matrix::zeros(0, 4), 1e-8, None);
+        let lr = compress_block(&Matrix::zeros(0, 4), 1e-8, None);
         assert_eq!(lr.rank(), 0);
     }
 }

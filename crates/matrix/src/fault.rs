@@ -2,9 +2,9 @@
 //!
 //! A fault plan describes one fault class to inject into the solver pipeline.
 //! Tests install one with [`set_plan`]; the library itself never reads the
-//! environment.  The CI entry points (`tests/fault_injection.rs`,
-//! `tests/comm_chaos.rs`) take a `<kind>:<param>` spec from `H2_FAULT`, turn
-//! it into a plan with [`parse`] and install it themselves.
+//! environment.  The CI entry point (`tests/fault_injection.rs`) takes a
+//! `<kind>:<param>` spec from `H2_FAULT`, turns it into a plan with [`parse`]
+//! and installs it itself.
 //!
 //! Supported specs:
 //!
@@ -19,20 +19,6 @@
 //! * `task_panic:<n>` — panic the `n`-th DAG task action created during a
 //!   factorization (creation order, so the choice is thread-count
 //!   deterministic).
-//!
-//! Network fault classes, injected inside the `h2_mpisim` transport (the
-//! solver pipeline never sees them except through typed `CommError`s):
-//!
-//! * `drop_msg:<rate>` — silently drop data frames at the given rate (the
-//!   reliable layer retries; persistent drops become a typed timeout);
-//! * `corrupt_msg:<rate>` — flip the checksum of data frames at the given
-//!   rate (detected on receive, not delivered, repaired by retry);
-//! * `delay_msg:<ms>` — delay every data frame by `<ms>` milliseconds;
-//! * `dup_msg:<rate>` — send data frames twice at the given rate (the
-//!   receiver's per-peer sequence numbers suppress the duplicate);
-//! * `kill_rank:<r>[@<op>]` — world rank `r` goes silent (stops sending,
-//!   acking and heartbeating) at its `<op>`-th communicator operation
-//!   (0-based, default 0); survivors detect the failure by heartbeat loss.
 //!
 //! Injection *decisions* are deterministic: rate-based faults hash a per-site
 //! counter (splitmix64) into `[0, 1)` and compare against the rate, so the
@@ -79,33 +65,6 @@ pub enum FaultPlan {
     TaskPanic {
         /// Zero-based creation index of the task to panic.
         index: u64,
-    },
-    /// Drop communicator data frames at `rate`.
-    DropMsg {
-        /// Per-frame drop probability.
-        rate: f64,
-    },
-    /// Corrupt the checksum of communicator data frames at `rate`.
-    CorruptMsg {
-        /// Per-frame corruption probability.
-        rate: f64,
-    },
-    /// Delay every communicator data frame by `ms` milliseconds.
-    DelayMsg {
-        /// Delay per frame in milliseconds.
-        ms: u64,
-    },
-    /// Duplicate communicator data frames at `rate`.
-    DupMsg {
-        /// Per-frame duplication probability.
-        rate: f64,
-    },
-    /// World rank `rank` goes silent at its `after_ops`-th communicator op.
-    KillRank {
-        /// Universe (world) rank that dies.
-        rank: usize,
-        /// Zero-based communicator-operation ordinal at which it dies.
-        after_ops: u64,
     },
 }
 
@@ -158,22 +117,6 @@ pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         "task_panic" => Ok(FaultPlan::TaskPanic {
             index: index(param)?,
         }),
-        "drop_msg" => Ok(FaultPlan::DropMsg { rate: rate(param)? }),
-        "corrupt_msg" => Ok(FaultPlan::CorruptMsg { rate: rate(param)? }),
-        "delay_msg" => Ok(FaultPlan::DelayMsg { ms: index(param)? }),
-        "dup_msg" => Ok(FaultPlan::DupMsg { rate: rate(param)? }),
-        "kill_rank" => {
-            // Param is `<rank>[@<op>]`: which world rank dies, and at which
-            // 0-based communicator operation (immediately when omitted).
-            let (r, op) = match param.split_once('@') {
-                Some((r, op)) => (r, index(op)?),
-                None => (param, 0),
-            };
-            Ok(FaultPlan::KillRank {
-                rank: index(r)? as usize,
-                after_ops: op,
-            })
-        }
         other => Err(format!("unknown fault kind '{other}'")),
     }
 }
@@ -227,46 +170,6 @@ pub fn sketch_corruption_rate(stage: SketchStage) -> Option<f64> {
     }
 }
 
-/// Rate of an active `drop_msg` plan.
-pub fn drop_msg_rate() -> Option<f64> {
-    match plan() {
-        Some(FaultPlan::DropMsg { rate }) => Some(rate),
-        _ => None,
-    }
-}
-
-/// Rate of an active `corrupt_msg` plan.
-pub fn corrupt_msg_rate() -> Option<f64> {
-    match plan() {
-        Some(FaultPlan::CorruptMsg { rate }) => Some(rate),
-        _ => None,
-    }
-}
-
-/// Per-frame delay of an active `delay_msg` plan, in milliseconds.
-pub fn delay_msg_ms() -> Option<u64> {
-    match plan() {
-        Some(FaultPlan::DelayMsg { ms }) => Some(ms),
-        _ => None,
-    }
-}
-
-/// Rate of an active `dup_msg` plan.
-pub fn dup_msg_rate() -> Option<f64> {
-    match plan() {
-        Some(FaultPlan::DupMsg { rate }) => Some(rate),
-        _ => None,
-    }
-}
-
-/// `(rank, op ordinal)` of an active `kill_rank` plan.
-pub fn kill_rank_plan() -> Option<(usize, u64)> {
-    match plan() {
-        Some(FaultPlan::KillRank { rank, after_ops }) => Some((rank, after_ops)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,27 +199,6 @@ mod tests {
             Ok(FaultPlan::SingularPivot { cluster: 3 })
         );
         assert_eq!(parse("task_panic:5"), Ok(FaultPlan::TaskPanic { index: 5 }));
-        assert_eq!(parse("drop_msg:0.1"), Ok(FaultPlan::DropMsg { rate: 0.1 }));
-        assert_eq!(
-            parse("corrupt_msg:0.25"),
-            Ok(FaultPlan::CorruptMsg { rate: 0.25 })
-        );
-        assert_eq!(parse("delay_msg:5"), Ok(FaultPlan::DelayMsg { ms: 5 }));
-        assert_eq!(parse("dup_msg:1"), Ok(FaultPlan::DupMsg { rate: 1.0 }));
-        assert_eq!(
-            parse("kill_rank:1@3"),
-            Ok(FaultPlan::KillRank {
-                rank: 1,
-                after_ops: 3
-            })
-        );
-        assert_eq!(
-            parse("kill_rank:2"),
-            Ok(FaultPlan::KillRank {
-                rank: 2,
-                after_ops: 0
-            })
-        );
     }
 
     #[test]
@@ -326,10 +208,6 @@ mod tests {
         assert!(parse("nan_kernel:abc").is_err());
         assert!(parse("corrupt_sketch@warp:0.5").is_err());
         assert!(parse("frobnicate:1").is_err());
-        assert!(parse("drop_msg:1.5").is_err());
-        assert!(parse("delay_msg:-3").is_err());
-        assert!(parse("kill_rank:x@2").is_err());
-        assert!(parse("kill_rank:1@x").is_err());
     }
 
     #[test]

@@ -201,32 +201,6 @@ pub enum SolverError {
     },
     /// A dense kernel (LU/QR/Cholesky/SVD) failed; carries the dense error.
     Numeric(Error),
-    /// A distributed communicator operation failed (timeout, dead rank,
-    /// corrupt frame, lost connection or protocol misuse).  The structured
-    /// `CommError` lives in `h2_mpisim`; this variant carries its class and
-    /// rendered detail so every layer above the transport can report it
-    /// without depending on the communicator crate.
-    Comm {
-        /// Classification of the communicator failure.
-        kind: CommFaultKind,
-        /// Human-readable description (rank, peer, op, elapsed time).
-        detail: String,
-    },
-}
-
-/// Classes of communicator failure carried by [`SolverError::Comm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommFaultKind {
-    /// An operation missed its deadline (including exhausted send retries).
-    Timeout,
-    /// A peer rank died or stopped heartbeating.
-    RankFailed,
-    /// A frame arrived with a checksum mismatch and retries did not repair it.
-    CorruptFrame,
-    /// The underlying transport connection was lost.
-    Disconnected,
-    /// The communicator API was misused (double split submission, bad dest).
-    Protocol,
 }
 
 impl std::fmt::Display for SolverError {
@@ -266,16 +240,6 @@ impl std::fmt::Display for SolverError {
                  after {refine_steps} refinement steps"
             ),
             SolverError::Numeric(e) => write!(f, "dense kernel failed: {e}"),
-            SolverError::Comm { kind, detail } => {
-                let k = match kind {
-                    CommFaultKind::Timeout => "timeout",
-                    CommFaultKind::RankFailed => "rank failed",
-                    CommFaultKind::CorruptFrame => "corrupt frame",
-                    CommFaultKind::Disconnected => "disconnected",
-                    CommFaultKind::Protocol => "protocol violation",
-                };
-                write!(f, "communicator failure ({k}): {detail}")
-            }
         }
     }
 }

@@ -38,24 +38,24 @@ impl ProcessTree {
 
     /// Rank range `[lo, hi)` owning the cluster-tree node `(level, index)`.
     ///
-    /// For levels at or below the process-tree depth the range is a single rank
-    /// (clusters are grafted onto ranks); above it, the node is shared by all ranks
-    /// whose leaf clusters descend from it.
+    /// The root holds every rank.  Each range with two or more ranks is split in
+    /// half ("roughly half" for odd counts) between its two children, node `i` of
+    /// `level` starting at rank `floor(i · ranks / 2^level)`, so sibling ranges are
+    /// disjoint and together make up their parent's.
+    /// Once a range is a single rank, every descendant inherits it: deeper clusters
+    /// are grafted onto that rank, which happens at the latest at the process-tree
+    /// depth.
     pub fn owners(&self, level: usize, index: usize) -> (usize, usize) {
         assert!(index < (1usize << level), "index out of range for level");
-        if level >= self.depth {
-            // Grafted: the owning rank is the ancestor index at the process-tree depth,
-            // scaled onto the actual (possibly non-power-of-two) rank count.
-            let ancestor = index >> (level - self.depth);
-            let rank = self.leaf_to_rank(ancestor);
-            (rank, rank + 1)
-        } else {
-            // Shared by all ranks under this subtree.
-            let width = 1usize << (self.depth - level);
-            let lo_leaf = index * width;
-            let hi_leaf = (index + 1) * width;
-            (self.leaf_to_rank(lo_leaf), self.leaf_to_rank_hi(hi_leaf))
+        let mut range = (0, self.ranks);
+        for l in 1..=level {
+            if range.1 - range.0 == 1 {
+                break;
+            }
+            let i = index >> (level - l);
+            range = (self.split_point(l, i), self.split_point(l, i + 1));
         }
+        range
     }
 
     /// The single rank owning cluster `(level, index)` when `level >= depth`, or the
@@ -70,16 +70,22 @@ impl ProcessTree {
         rank >= lo && rank < hi
     }
 
-    /// The cluster index at `level` that `rank`'s data belongs to (the ancestor of the
-    /// rank's leaf range).
+    /// The cluster index at `level` whose owning range contains `rank`; at grafted
+    /// levels, where one rank owns several clusters, the first of them.
     pub fn cluster_of_rank(&self, rank: usize, level: usize) -> usize {
         assert!(rank < self.ranks);
-        let leaf = self.rank_to_leaf(rank);
-        if level >= self.depth {
-            leaf << (level - self.depth)
-        } else {
-            leaf >> (self.depth - level)
+        let mut range = (0, self.ranks);
+        let mut index = 0;
+        for l in 1..=level {
+            index *= 2;
+            if range.1 - range.0 > 1 {
+                if rank >= self.split_point(l, index + 1) {
+                    index += 1;
+                }
+                range = (self.split_point(l, index), self.split_point(l, index + 1));
+            }
         }
+        index
     }
 
     /// Level at which ranges of ranks merge pairwise: at process-tree level `l`, each
@@ -93,23 +99,9 @@ impl ProcessTree {
         }
     }
 
-    /// Map a process-tree leaf slot (0..2^depth) to an actual rank (0..ranks), spreading
-    /// slots as evenly as possible when `ranks` is not a power of two.
-    fn leaf_to_rank(&self, leaf: usize) -> usize {
-        let slots = 1usize << self.depth;
-        (leaf * self.ranks) / slots
-    }
-
-    fn leaf_to_rank_hi(&self, leaf_hi: usize) -> usize {
-        let slots = 1usize << self.depth;
-        (leaf_hi * self.ranks).div_ceil(slots)
-    }
-
-    /// Map a rank to its first process-tree leaf slot.
-    fn rank_to_leaf(&self, rank: usize) -> usize {
-        let slots = 1usize << self.depth;
-        // Inverse of leaf_to_rank (first slot whose mapped rank is `rank`).
-        (rank * slots).div_ceil(self.ranks)
+    /// First rank of node `i`'s range at `level`, before grafting.
+    fn split_point(&self, level: usize, i: usize) -> usize {
+        (i * self.ranks) >> level
     }
 }
 
@@ -154,21 +146,53 @@ mod tests {
 
     #[test]
     fn non_power_of_two_ranks_cover_all_nodes() {
-        let pt = ProcessTree::new(6);
-        assert_eq!(pt.depth, 3);
-        // Every leaf-level node maps to a valid rank and all ranks are used.
-        let mut used = [false; 6];
-        for i in 0..8 {
-            let r = pt.owner(3, i);
-            assert!(r < 6);
-            used[r] = true;
+        for ranks in [1, 2, 3, 5, 6, 8, 10, 16, 160] {
+            let pt = ProcessTree::new(ranks);
+            let members = |(lo, hi): (usize, usize)| (lo..hi).collect::<Vec<_>>();
+            for level in 0..=pt.depth {
+                let ranges: Vec<_> = (0..1usize << level).map(|i| pt.owners(level, i)).collect();
+                if level < pt.depth {
+                    // Shared levels: the ranges partition 0..ranks in node order, and
+                    // each is exactly the set of ranks whose data the node holds.
+                    let mut next = 0;
+                    for (i, &(lo, hi)) in ranges.iter().enumerate() {
+                        assert!(
+                            lo == next && hi > lo,
+                            "ranks {ranks} ({level}, {i}): {ranges:?}"
+                        );
+                        next = hi;
+                        let homed: Vec<_> = (0..ranks)
+                            .filter(|&r| pt.cluster_of_rank(r, level) == i)
+                            .collect();
+                        assert_eq!(members((lo, hi)), homed, "ranks {ranks} ({level}, {i})");
+                    }
+                    assert_eq!(next, ranks, "ranks {ranks} level {level}");
+                } else {
+                    // Grafting level: one owner per node, and every rank owns a node.
+                    assert!(ranges.iter().all(|&(lo, hi)| hi == lo + 1 && hi <= ranks));
+                    for r in 0..ranks {
+                        assert!(ranges.contains(&(r, r + 1)), "ranks {ranks}: rank {r} idle");
+                    }
+                }
+                for r in 0..ranks {
+                    assert!(pt.participates(r, level, pt.cluster_of_rank(r, level)));
+                }
+                if level > 0 {
+                    for i in 0..1usize << (level - 1) {
+                        let mut children = members(ranges[2 * i]);
+                        children.extend(members(ranges[2 * i + 1]));
+                        children.dedup();
+                        assert_eq!(
+                            members(pt.owners(level - 1, i)),
+                            children,
+                            "ranks {ranks}: parent ({}, {i}) is not the union of its children",
+                            level - 1
+                        );
+                    }
+                }
+            }
+            assert_eq!(pt.owners(0, 0), (0, ranks));
         }
-        assert!(
-            used.iter().all(|&u| u),
-            "every rank owns at least one leaf slot"
-        );
-        // Root covers all ranks.
-        assert_eq!(pt.owners(0, 0), (0, 6));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   **H²-ULV without trailing sub-matrix dependencies**,
 //! * [`lorapo`] — the LORAPO-style BLR baseline the paper compares against,
 //! * [`runtime`] — task DAGs, a work-stealing pool and the scheduler simulator,
-//! * [`mpisim`] — the distributed-memory substrate and network cost model.
+//! * [`mpisim`] — the process tree and network cost model of the distributed figures.
 //!
 //! ## Quick start
 //!
@@ -61,8 +61,7 @@ pub mod prelude {
     pub use h2_hmatrix::{BasisMode, Blr2Matrix, BlrMatrix, H2Matrix};
     pub use h2_lorapo::{BlrLuFactors, BlrLuOptions};
     pub use h2_matrix::{rel_l2_error, Matrix};
-    pub use h2_matrix::{CommFaultKind, SolverError, SolverResult};
-    pub use h2_mpisim::{Comm, CommConfig, CommError, CommResult, TransportKind, Universe};
+    pub use h2_matrix::{SolverError, SolverResult};
     pub use h2_runtime::{simulate_schedule, SimConfig, TaskGraph};
     pub use h2_server::{BatchPolicy, FactorCache, OperatorId, SolveServer};
 }

@@ -1,97 +1,9 @@
-//! Integration test of the distributed-memory substrate: the process-tree
-//! communication pattern of the paper (Fig. 8) exercised on real in-process ranks,
-//! plus the cost model used for the Fig. 16 reproduction.
+//! Integration test of the distributed-memory model: the process-tree partitioning of
+//! the paper (Fig. 8) and the cost model used for the Fig. 16 reproduction.
 
 use h2ulv::factor::dist::{estimate_distributed, strong_scaling_sweep, DistConfig};
-use h2ulv::mpisim::{ProcessTree, Universe};
+use h2ulv::mpisim::ProcessTree;
 use h2ulv::prelude::*;
-
-#[test]
-fn allgather_over_split_communicators_follows_the_process_tree() {
-    // 8 ranks, each owning one leaf value; merging up the process tree with split +
-    // allgather must give every rank the full set at the root, by pairs at level 2.
-    let results = Universe::run(8, |mut comm| {
-        let mine = vec![comm.rank() as f64];
-        // Level 2 -> 1: groups of 2.
-        let mut c2 = comm
-            .split((comm.rank() / 2) as i64, comm.rank() as i64)
-            .unwrap();
-        let pair: Vec<f64> = c2
-            .allgather(1, &mine)
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        // Level 1 -> 0: groups of 4 (split the original communicator).
-        let mut c4 = comm
-            .split((comm.rank() / 4) as i64, comm.rank() as i64)
-            .unwrap();
-        let quad: Vec<f64> = c4
-            .allgather(2, &pair)
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        (pair, quad)
-    });
-    for (rank, (pair, quad)) in results.into_iter().enumerate() {
-        let base = (rank / 2) * 2;
-        assert_eq!(pair, vec![base as f64, base as f64 + 1.0]);
-        assert_eq!(quad.len(), 8); // 4 ranks x 2 values each
-        let quad_base = (rank / 4) * 4;
-        let expect: Vec<f64> = (0..4)
-            .flat_map(|r| {
-                let b = (quad_base + r) / 2 * 2;
-                vec![b as f64, b as f64 + 1.0]
-            })
-            .collect();
-        assert_eq!(quad, expect);
-    }
-}
-
-#[test]
-fn clean_path_is_bitwise_identical_across_transports() {
-    // The same split + allgather pattern must deliver bit-for-bit identical
-    // payloads whether frames travel over in-process channels or localhost
-    // TCP sockets (f64 bits round-trip exactly through the wire format).
-    use h2ulv::mpisim::{CommConfig, TransportKind};
-    let pattern = |mut comm: h2ulv::mpisim::Comm| {
-        let mine = vec![comm.rank() as f64 * 0.1 + 0.7, -(comm.rank() as f64)];
-        let mut sub = comm
-            .split((comm.rank() % 2) as i64, comm.rank() as i64)
-            .unwrap();
-        let gathered: Vec<f64> = sub
-            .allgather(11, &mine)
-            .unwrap()
-            .into_iter()
-            .flatten()
-            .collect();
-        let summed = comm.allreduce_sum(13, &mine).unwrap();
-        comm.barrier(17).unwrap();
-        (gathered, summed)
-    };
-    let channel = Universe::run_config(
-        4,
-        &CommConfig {
-            transport: TransportKind::Channel,
-            ..CommConfig::default()
-        },
-        pattern,
-    );
-    let socket = Universe::run_config(
-        4,
-        &CommConfig {
-            transport: TransportKind::Socket,
-            ..CommConfig::default()
-        },
-        pattern,
-    );
-    for (rank, (c, s)) in channel.iter().zip(&socket).enumerate() {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        assert_eq!(bits(&c.0), bits(&s.0), "rank {rank} allgather differs");
-        assert_eq!(bits(&c.1), bits(&s.1), "rank {rank} allreduce differs");
-    }
-}
 
 #[test]
 fn process_tree_partitioning_is_consistent_with_cluster_tree_depth() {
