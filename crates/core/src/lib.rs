@@ -37,7 +37,5 @@ pub use dense::{dense_solve, DenseReference};
 pub use dist::{estimate_distributed, strong_scaling_sweep, DistConfig, DistEstimate};
 pub use options::{CompressionMode, FactorOptions, Hierarchy, Schedule, SketchPrecision, Variant};
 pub use session::Analysis;
-pub use ulv::{
-    FactorStats, PhaseBreakdown, RecoveryEvents, TaskClassBreakdown, UlvFactorization, UlvFactors,
-};
+pub use ulv::{FactorStats, RecoveryEvents, TaskClassBreakdown, UlvFactorization, UlvFactors};
 pub use variants::{blr2_ulv, h2_ulv_dep, h2_ulv_nodep, hss_ulv};

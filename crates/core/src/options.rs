@@ -11,9 +11,11 @@ pub enum Variant {
     /// folded into the shared bases, so every block row/column of a level is
     /// eliminated independently — no trailing sub-matrix dependencies (§III).
     NoDependencies,
-    /// The conventional H²-ULV of §II-D: block rows/columns are eliminated in
-    /// sequence and Schur updates are applied to the trailing redundant parts as well.
-    /// Used as an ablation to quantify what removing the dependency costs/buys.
+    /// The sequential elimination order of the conventional H²-ULV (§II-D): the
+    /// same numerics as [`Variant::NoDependencies`], plus one task-graph edge
+    /// from each pivot elimination to the previous one, so a level's block rows
+    /// are eliminated in sequence.  No trailing Schur updates are applied.  Used
+    /// as an ablation to quantify what removing the dependency costs/buys.
     WithDependencies,
 }
 
@@ -67,8 +69,9 @@ pub struct FactorOptions {
     /// Exact or sampled basis construction.
     pub basis_mode: BasisMode,
     /// How the basis QR of a far-field panel is computed: direct column-pivoted QR
-    /// of the full panel (reference) or a Gaussian sketch followed by a small
-    /// pivoted QR (GEMM-dominated fast path, the default).
+    /// of the full panel (reference), or a randomized sketch followed by a small
+    /// pivoted QR — Gaussian, or SRFT with f32 mixing (the default, see
+    /// `CompressionMode::default`).
     pub compression: CompressionMode,
     /// Compute couplings and upper-level far-field projections from skeleton
     /// rows/columns (interpolation through per-cluster skeleton points — linear

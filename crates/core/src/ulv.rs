@@ -38,11 +38,14 @@
 //! factors at any thread count: every task writes one slot, and every
 //! accumulation order is fixed by the symbolic plan, never by scheduling.
 //!
-//! Every task reports the flops it performed as its cost, and `live_scope` hands
-//! back the graph it executed — that record, unedited, is
-//! [`UlvFactors::task_graph`], which the scheduler simulator replays on any number
-//! of virtual cores.  Next to it sits a per-task-class time breakdown including the
-//! measured construction↔factorization overlap fraction ([`TaskClassBreakdown`]).
+//! Every task records its class (a [`TaskKind`]), the flops it performed as its
+//! cost, and its start and end, and `live_scope` hands back the graph it
+//! executed — that record, unedited, is [`UlvFactors::task_graph`], which the
+//! scheduler simulator replays on any number of virtual cores.  The run's time
+//! and flop breakdown in [`FactorStats`] — construction and factorization
+//! seconds and flops, the per-class [`TaskClassBreakdown`] and the measured
+//! construction↔factorization overlap fraction — is derived from that record
+//! alone.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -101,37 +104,6 @@ pub struct LevelFactor {
     pub col_sr: HashMap<(usize, usize), Matrix>,
 }
 
-/// Seconds of construction work per phase, reported in two scales.
-///
-/// The `*_seconds` fields are **CPU work**: DAG-task spans are exact per-thread
-/// time (each task runs on one thread), so under multi-threading the phase sum
-/// can legitimately exceed the construction wall clock.  The `*_wall_seconds`
-/// fields attribute the measured wall-clock span of the fused graph to the
-/// phases proportionally to their CPU shares, so they sum to (at most) the
-/// graph wall at any thread count.  At one thread the two scales coincide up
-/// to scheduler overhead.  Serial pre-graph sections (leaf dense assembly) are
-/// wall time and count in both.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseBreakdown {
-    /// Kernel-entry evaluation (far-field samples, couplings, dense leaves); CPU work.
-    pub assembly_seconds: f64,
-    /// Basis compression: QR / sketch factorizations, far-field projections and
-    /// fill-in pre-computation feeding them; CPU work.
-    pub compression_seconds: f64,
-    /// Coupling projection onto the skeleton bases (after assembly); CPU work.
-    pub coupling_seconds: f64,
-    /// Skeleton-row interpolation bookkeeping carried between levels; CPU work.
-    pub transfer_seconds: f64,
-    /// Wall-attributed share of [`PhaseBreakdown::assembly_seconds`].
-    pub assembly_wall_seconds: f64,
-    /// Wall-attributed share of [`PhaseBreakdown::compression_seconds`].
-    pub compression_wall_seconds: f64,
-    /// Wall-attributed share of [`PhaseBreakdown::coupling_seconds`].
-    pub coupling_wall_seconds: f64,
-    /// Wall-attributed share of [`PhaseBreakdown::transfer_seconds`].
-    pub transfer_wall_seconds: f64,
-}
-
 /// Counters of the breakdown-recovery ladder: how many times a compression
 /// rung failed (produced a non-finite basis) and escalated to the next rung,
 /// and how many singular redundant diagonal blocks were repaired by a
@@ -163,17 +135,17 @@ impl RecoveryEvents {
     }
 }
 
-/// CPU seconds per task class of the fused factorization graph, plus the
-/// measured overlap between the construction and factorization spans.
+/// Seconds per task class of the fused factorization graph, plus the measured
+/// overlap between the construction and factorization spans — all derived
+/// from [`UlvFactors::task_graph`].
 ///
-/// Class seconds are exact per-thread task time (a task runs on one thread);
-/// under multi-threading their sum exceeds
-/// [`TaskClassBreakdown::graph_wall_seconds`].  The spans are
-/// `[first task start, last task end]` of each group over the graph's wall
-/// clock, and the overlap fraction is their intersection divided by the graph
-/// wall — non-zero whenever construction of one part of the tree ran
-/// concurrently (or, phased, interleaved within a level) with elimination of
-/// another.
+/// A class's seconds are the summed `end - start` of the nodes of its
+/// [`TaskKind`] (a task runs on one thread, so this is its thread time); under
+/// multi-threading their sum exceeds [`TaskClassBreakdown::graph_wall_seconds`].
+/// The spans are `[first task start, last task end]` of each group's nodes,
+/// and the overlap fraction is their intersection divided by the graph wall —
+/// non-zero whenever construction of one part of the tree ran concurrently (or,
+/// phased, interleaved within a level) with elimination of another.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaskClassBreakdown {
     /// Fill-in pre-computation tasks (one per pivot with dense neighbours).
@@ -196,7 +168,7 @@ pub struct TaskClassBreakdown {
     pub root_seconds: f64,
     /// Wall-clock seconds of the whole fused graph.
     pub graph_wall_seconds: f64,
-    /// Wall span covered by construction tasks (fill/basis/coupling).
+    /// Wall span covered by construction tasks (assembly/fill/basis/coupling).
     pub construction_span_seconds: f64,
     /// Wall span covered by factorization tasks (transform/pivot/Schur/merge/map/root).
     pub factorization_span_seconds: f64,
@@ -209,8 +181,6 @@ pub struct TaskClassBreakdown {
 pub struct FactorStats {
     /// Seconds spent assembling kernel blocks, bases and couplings.
     pub construction_seconds: f64,
-    /// Construction CPU time split by phase.
-    pub phases: PhaseBreakdown,
     /// Seconds spent in the elimination itself (transform + LU + TRSM + Schur + merge).
     pub factorization_seconds: f64,
     /// Flops counted during the elimination phase.
@@ -234,7 +204,7 @@ pub struct FactorStats {
     pub memory_words: usize,
     /// Breakdown-recovery ladder escalations and pivot repairs.
     pub recovery: RecoveryEvents,
-    /// Per-task-class CPU time of the fused graph and the measured
+    /// Per-task-class time of the fused graph and the measured
     /// construction↔factorization overlap fraction.
     pub task_classes: TaskClassBreakdown,
 }
@@ -257,8 +227,8 @@ pub struct UlvFactors {
     /// Run statistics.
     pub stats: FactorStats,
     /// The task graph this factorization executed, as recorded by
-    /// [`h2_runtime::live_scope`]: one node per task that ran, its dependency
-    /// edges, and the flops its body counted as cost.
+    /// [`h2_runtime::live_scope`]: one node per task that ran, its class, its
+    /// dependency edges, the flops its body counted as cost, and its span.
     pub task_graph: TaskGraph,
     /// Number of refinement-ladder escalations taken by
     /// [`UlvFactors::solve_to_tolerance`] beyond its first rung.
@@ -284,28 +254,6 @@ struct PivotResult {
     schur: Vec<(usize, usize, Matrix)>,
 }
 
-// Task classes of the fused graph, indexing [`GraphMeters::classes`].
-const CLASS_FILL: usize = 0;
-const CLASS_BASIS: usize = 1;
-const CLASS_COUPLING: usize = 2;
-const CLASS_TRANSFORM: usize = 3;
-const CLASS_PIVOT: usize = 4;
-const CLASS_SCHUR: usize = 5;
-const CLASS_MERGE: usize = 6;
-const CLASS_MAP: usize = 7;
-const CLASS_ROOT: usize = 8;
-/// Leaf dense-block assembly: metered like a class, reported as a construction
-/// phase ([`PhaseBreakdown::assembly_seconds`]) rather than a
-/// [`TaskClassBreakdown`] field.
-const CLASS_ASSEMBLY: usize = 9;
-const CLASS_COUNT: usize = 10;
-
-// Construction sub-phases, indexing [`LevelArena::phase_nanos`].
-const PH_ASSEMBLY: usize = 0;
-const PH_COMPRESSION: usize = 1;
-const PH_COUPLING: usize = 2;
-const PH_TRANSFER: usize = 3;
-
 // Scheduling stages inside one level: finer levels and earlier stages run
 // first when several tasks are ready, which keeps the fused pipeline flowing
 // leaf-to-root.  Priorities only steer the scheduler; correctness and the
@@ -326,141 +274,112 @@ fn prio(level: usize, stage: usize) -> f64 {
     (level * 8 + stage) as f64
 }
 
-/// Whether a task class belongs to H² construction (the rest is elimination).
-fn is_construction(class: usize) -> bool {
-    matches!(
-        class,
-        CLASS_ASSEMBLY | CLASS_FILL | CLASS_BASIS | CLASS_COUPLING
-    )
+/// Submit one task of the fused graph.  The injected-panic fault
+/// (`task_panic:I`) is drawn here, at registration, so `I` counts tasks in
+/// registration order.  The body runs inside [`LiveScope::timed`] between two
+/// samples of the thread's flop counter, so the task's node records its span
+/// and, as its cost, the flops it performed — exactly, since a task runs on
+/// one thread.
+fn submit_task<'env>(
+    scope: &LiveScope<'env>,
+    kind: TaskKind,
+    priority: f64,
+    deps: &[TaskId],
+    body: impl FnOnce(&LiveScope<'env>) + Send + 'env,
+) -> TaskId {
+    let bomb = h2_matrix::fault::task_panic_armed();
+    scope.submit(kind, priority, deps, move |me| {
+        if bomb {
+            panic!("injected task panic (H2_FAULT=task_panic)");
+        }
+        let flops = h2_matrix::flops::thread_flop_count();
+        me.timed(|| body(me));
+        me.report_cost((h2_matrix::flops::thread_flop_count() - flops) as f64);
+    })
 }
 
-/// Per-class accounting for DAG tasks: CPU nanoseconds (for attributing the
-/// wall-clock span between construction and elimination) and **exact** flop
-/// counts, sampled from the thread-local counter — a task runs on exactly one
-/// thread, so its delta is unaffected by whatever executes concurrently.
-struct ClassMeter {
-    nanos: AtomicU64,
-    flops: AtomicU64,
-}
+/// Task kinds of H² construction; every other kind in the graph is elimination.
+const CONSTRUCTION: [TaskKind; 4] = [
+    TaskKind::Assembly,
+    TaskKind::Fill,
+    TaskKind::Basis,
+    TaskKind::Coupling,
+];
 
-impl ClassMeter {
-    fn new() -> Self {
-        ClassMeter {
-            nanos: AtomicU64::new(0),
-            flops: AtomicU64::new(0),
+/// Fold the executed graph into the run's time and flop breakdown.
+///
+/// A class's seconds are the summed `end - start` of its nodes and a group's
+/// flops the summed costs of its kinds.  The graph's wall clock is split
+/// between construction and factorization in proportion to the seconds their
+/// tasks took; each group's span runs from its first task start to its last
+/// task end, and the overlap fraction is the spans' intersection over the
+/// graph wall.
+fn fold_graph_stats(graph: &TaskGraph, graph_wall: f64, stats: &mut FactorStats) {
+    let seconds_of = |kind: TaskKind| -> f64 {
+        graph
+            .iter()
+            .filter(|n| n.kind == kind)
+            .map(|n| n.seconds())
+            .sum()
+    };
+    let [assembly, fill, basis, coupling, transform, pivot, schur, merge, map, root] = [
+        TaskKind::Assembly,
+        TaskKind::Fill,
+        TaskKind::Basis,
+        TaskKind::Coupling,
+        TaskKind::Transform,
+        TaskKind::Pivot,
+        TaskKind::Schur,
+        TaskKind::Merge,
+        TaskKind::Map,
+        TaskKind::Root,
+    ]
+    .map(seconds_of);
+    let construction = assembly + fill + basis + coupling;
+    let factorization = transform + pivot + schur + merge + map + root;
+    let con_frac = construction / (construction + factorization).max(1e-9);
+    stats.construction_seconds = graph_wall * con_frac;
+    stats.factorization_seconds = graph_wall * (1.0 - con_frac);
+    for (kind, flops) in graph.work_by_kind() {
+        if CONSTRUCTION.contains(&kind) {
+            stats.construction_flops += flops as u64;
+        } else {
+            stats.factorization_flops += flops as u64;
         }
     }
 
-    /// Sample the start of a task region.
-    fn begin() -> (Instant, u64) {
-        (Instant::now(), h2_matrix::flops::thread_flop_count())
-    }
-}
-
-/// Wall-clock span `[first start, last end]` of a task group, in nanoseconds
-/// since the graph's epoch.
-struct SpanMeter {
-    start: AtomicU64,
-    end: AtomicU64,
-}
-
-impl SpanMeter {
-    fn new() -> Self {
-        SpanMeter {
-            start: AtomicU64::new(u64::MAX),
-            end: AtomicU64::new(0),
-        }
-    }
-
-    fn cover(&self, start: u64, end: u64) {
-        self.start.fetch_min(start, Ordering::Relaxed);
-        self.end.fetch_max(end, Ordering::Relaxed);
-    }
-
-    fn seconds(&self) -> f64 {
-        let s = self.start.load(Ordering::Relaxed);
-        let e = self.end.load(Ordering::Relaxed);
-        if s == u64::MAX || e <= s {
+    // `(first start, last end)` of one group; `(inf, -inf)` when it is empty.
+    let span_of = |is_construction: bool| {
+        graph
+            .iter()
+            .filter(|n| CONSTRUCTION.contains(&n.kind) == is_construction)
+            .filter_map(|n| n.span)
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (s, e)| {
+                (lo.min(s), hi.max(e))
+            })
+    };
+    let width = |(lo, hi): (f64, f64)| if hi > lo { hi - lo } else { 0.0 };
+    let (con_span, fac_span) = (span_of(true), span_of(false));
+    let overlap = width((con_span.0.max(fac_span.0), con_span.1.min(fac_span.1)));
+    stats.task_classes = TaskClassBreakdown {
+        fill_seconds: fill,
+        basis_seconds: basis,
+        coupling_seconds: coupling,
+        transform_seconds: transform,
+        pivot_seconds: pivot,
+        schur_seconds: schur,
+        merge_seconds: merge,
+        map_seconds: map,
+        root_seconds: root,
+        graph_wall_seconds: graph_wall,
+        construction_span_seconds: width(con_span),
+        factorization_span_seconds: width(fac_span),
+        overlap_fraction: if graph_wall > 0.0 {
+            (overlap / graph_wall).min(1.0)
+        } else {
             0.0
-        } else {
-            (e - s) as f64 / 1e9
-        }
-    }
-}
-
-/// Run-wide meters of the fused graph: per-class CPU/flop meters plus the
-/// construction and factorization wall spans whose intersection yields the
-/// overlap fraction.
-struct GraphMeters {
-    t0: Instant,
-    classes: [ClassMeter; CLASS_COUNT],
-    construction: SpanMeter,
-    factorization: SpanMeter,
-}
-
-impl GraphMeters {
-    fn new() -> Self {
-        GraphMeters {
-            t0: Instant::now(),
-            classes: std::array::from_fn(|_| ClassMeter::new()),
-            construction: SpanMeter::new(),
-            factorization: SpanMeter::new(),
-        }
-    }
-
-    /// Credit a task region started by [`ClassMeter::begin`] to `class`, cover
-    /// the matching group span, and report the region's flops as the running
-    /// task's cost in the recorded graph.
-    fn finish(&self, scope: &LiveScope<'_>, class: usize, begun: (Instant, u64)) {
-        let nanos = begun.0.elapsed().as_nanos() as u64;
-        let flops = h2_matrix::flops::thread_flop_count() - begun.1;
-        scope.report_cost(flops as f64);
-        self.classes[class]
-            .nanos
-            .fetch_add(nanos, Ordering::Relaxed);
-        self.classes[class]
-            .flops
-            .fetch_add(flops, Ordering::Relaxed);
-        let start = begun.0.saturating_duration_since(self.t0).as_nanos() as u64;
-        let span = if is_construction(class) {
-            &self.construction
-        } else {
-            &self.factorization
-        };
-        span.cover(start, start + nanos);
-    }
-
-    fn nanos_of(&self, class: usize) -> u64 {
-        self.classes[class].nanos.load(Ordering::Relaxed)
-    }
-
-    fn flops_of(&self, class: usize) -> u64 {
-        self.classes[class].flops.load(Ordering::Relaxed)
-    }
-
-    fn seconds_of(&self, class: usize) -> f64 {
-        self.nanos_of(class) as f64 / 1e9
-    }
-
-    /// Intersection of the construction and factorization spans over `wall`.
-    fn overlap_fraction(&self, wall: f64) -> f64 {
-        if wall <= 0.0 {
-            return 0.0;
-        }
-        let cs = self.construction.start.load(Ordering::Relaxed);
-        let ce = self.construction.end.load(Ordering::Relaxed);
-        let fs = self.factorization.start.load(Ordering::Relaxed);
-        let fe = self.factorization.end.load(Ordering::Relaxed);
-        if cs == u64::MAX || fs == u64::MAX {
-            return 0.0;
-        }
-        let lo = cs.max(fs);
-        let hi = ce.min(fe);
-        if hi <= lo {
-            return 0.0;
-        }
-        ((hi - lo) as f64 / 1e9 / wall).min(1.0)
-    }
+        },
+    };
 }
 
 /// Skeleton interpolation data of one side (row or column) of a cluster: the
@@ -852,8 +771,6 @@ struct LevelArena {
     pivot: Vec<OnceLock<Result<PivotResult, SolverError>>>,
     /// Surviving skeleton–skeleton blocks, aligned with `plan.ss_cand`.
     ss: Vec<OnceLock<Option<Matrix>>>,
-    /// Construction sub-phase CPU nanoseconds (assembly/compression/coupling/transfer).
-    phase_nanos: [AtomicU64; 4],
 }
 
 impl LevelArena {
@@ -871,12 +788,6 @@ impl LevelArena {
             transform: slots(plan.dense_cand.len()),
             pivot: slots(plan.nb),
             ss: slots(plan.ss_cand.len()),
-            phase_nanos: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
         }
     }
 }
@@ -938,7 +849,6 @@ struct RegisterCtx<'env> {
     opts: &'env FactorOptions,
     plans: &'env [LevelPlan],
     arenas: &'env [LevelArena],
-    meters: &'env GraphMeters,
     root_out: &'env OnceLock<SolverResult<RootOut>>,
     /// Lowest `dense_cand` index of a non-finite leaf block (`usize::MAX` = none).
     bad_leaf_block: &'env AtomicUsize,
@@ -1030,8 +940,6 @@ impl UlvFactorization {
                 });
             }
             stats.construction_seconds = t0.elapsed().as_secs_f64();
-            stats.phases.assembly_seconds = stats.construction_seconds;
-            stats.phases.assembly_wall_seconds = stats.construction_seconds;
             let t1 = Instant::now();
             let f0 = flop_count();
             let root_lu = lu_factor(&a).map_err(|_| SolverError::SingularPivot {
@@ -1043,7 +951,7 @@ impl UlvFactorization {
             stats.root_dim = a.rows();
             // No pool, no graph run: the record is the one dense LU.
             let mut task_graph = TaskGraph::new();
-            task_graph.add_task(TaskKind::Factor, stats.factorization_flops as f64, &[]);
+            task_graph.add_task(TaskKind::Root, stats.factorization_flops as f64, &[]);
             return Ok(UlvFactors {
                 tree: analysis.tree_handle(),
                 options: *opts,
@@ -1097,7 +1005,6 @@ impl UlvFactorization {
         // Register construction AND elimination tasks of every level into a
         // single live scope; the phased schedule adds one gate task per level.
         let pool = ThreadPool::new(h2_runtime::resolve_num_threads(opts.num_threads));
-        let meters = GraphMeters::new();
         let root_out: OnceLock<SolverResult<RootOut>> = OnceLock::new();
         let bad_leaf_block = AtomicUsize::new(usize::MAX);
         let ctx = RegisterCtx {
@@ -1107,7 +1014,6 @@ impl UlvFactorization {
             opts,
             plans: &plans,
             arenas: &arenas,
-            meters: &meters,
             root_out: &root_out,
             bad_leaf_block: &bad_leaf_block,
         };
@@ -1268,71 +1174,7 @@ impl UlvFactorization {
             }
         };
 
-        // ------------------------------------------------------- fold the stats
-        // The fused graph interleaves construction and elimination tasks on one
-        // wall-clock span; split the span proportionally to the CPU time each
-        // group consumed.  The flop counts need no such estimate: every task
-        // samples the thread-local counter, so the per-class sums are exact.
-        let (mut con_n, mut fac_n) = (0u64, 0u64);
-        for class in 0..CLASS_COUNT {
-            if is_construction(class) {
-                con_n += meters.nanos_of(class);
-                stats.construction_flops += meters.flops_of(class);
-            } else {
-                fac_n += meters.nanos_of(class);
-                stats.factorization_flops += meters.flops_of(class);
-            }
-        }
-        let con_frac = con_n as f64 / ((con_n + fac_n).max(1)) as f64;
-        stats.construction_seconds += graph_wall * con_frac;
-        stats.factorization_seconds += graph_wall * (1.0 - con_frac);
-
-        // Construction sub-phase attribution: once as exact CPU work and once
-        // attributed to the graph's wall clock in proportion to the CPU share
-        // each phase consumed of the graph's total task time.  Fill-in
-        // pre-computation counts as compression, as it always has, and the
-        // leaf assembly tasks as assembly.
-        let span_nanos = ((con_n + fac_n).max(1)) as f64;
-        let mut ph = [0u64; 4];
-        for arena in &arenas {
-            for (p, slot) in ph.iter_mut().enumerate() {
-                *slot += arena.phase_nanos[p].load(Ordering::Relaxed);
-            }
-        }
-        ph[PH_COMPRESSION] += meters.nanos_of(CLASS_FILL);
-        ph[PH_ASSEMBLY] += meters.nanos_of(CLASS_ASSEMBLY);
-        let phase_split = |p: usize| {
-            let cpu = ph[p];
-            (cpu as f64 / 1e9, graph_wall * cpu as f64 / span_nanos)
-        };
-        let (cpu, wall) = phase_split(PH_ASSEMBLY);
-        stats.phases.assembly_seconds += cpu;
-        stats.phases.assembly_wall_seconds += wall;
-        let (cpu, wall) = phase_split(PH_COMPRESSION);
-        stats.phases.compression_seconds += cpu;
-        stats.phases.compression_wall_seconds += wall;
-        let (cpu, wall) = phase_split(PH_COUPLING);
-        stats.phases.coupling_seconds += cpu;
-        stats.phases.coupling_wall_seconds += wall;
-        let (cpu, wall) = phase_split(PH_TRANSFER);
-        stats.phases.transfer_seconds += cpu;
-        stats.phases.transfer_wall_seconds += wall;
-
-        stats.task_classes = TaskClassBreakdown {
-            fill_seconds: meters.seconds_of(CLASS_FILL),
-            basis_seconds: meters.seconds_of(CLASS_BASIS),
-            coupling_seconds: meters.seconds_of(CLASS_COUPLING),
-            transform_seconds: meters.seconds_of(CLASS_TRANSFORM),
-            pivot_seconds: meters.seconds_of(CLASS_PIVOT),
-            schur_seconds: meters.seconds_of(CLASS_SCHUR),
-            merge_seconds: meters.seconds_of(CLASS_MERGE),
-            map_seconds: meters.seconds_of(CLASS_MAP),
-            root_seconds: meters.seconds_of(CLASS_ROOT),
-            graph_wall_seconds: graph_wall,
-            construction_span_seconds: meters.construction.seconds(),
-            factorization_span_seconds: meters.factorization.seconds(),
-            overlap_fraction: meters.overlap_fraction(graph_wall),
-        };
+        fold_graph_stats(&task_graph, graph_wall, &mut stats);
 
         let mut factors = UlvFactors {
             tree: analysis.tree_handle(),
@@ -1372,7 +1214,6 @@ fn register_level<'env>(
     let tree = ctx.tree;
     let partition = ctx.partition;
     let opts = ctx.opts;
-    let meters = ctx.meters;
     let root_out = ctx.root_out;
     let plans = ctx.plans;
     let arenas = ctx.arenas;
@@ -1395,17 +1236,13 @@ fn register_level<'env>(
             if plan.row_dense[i].is_empty() {
                 continue;
             }
-            let bomb = h2_matrix::fault::task_panic_armed();
             let bad_leaf_block = ctx.bad_leaf_block;
-            let id = scope.submit(
-                TaskKind::Other,
+            let id = submit_task(
+                scope,
+                TaskKind::Assembly,
                 prio(level, STAGE_ASSEMBLY),
                 &[],
-                move |me| {
-                    if bomb {
-                        panic!("injected task panic (H2_FAULT=task_panic)");
-                    }
-                    let begun = ClassMeter::begin();
+                move |_| {
                     for &x in &plan.row_dense[i] {
                         let m = kernel.assemble(
                             &tree.points,
@@ -1418,7 +1255,6 @@ fn register_level<'env>(
                         }
                         let _ = arena.dense_in[x].set(Some(m));
                     }
-                    meters.finish(me, CLASS_ASSEMBLY, begun);
                 },
             );
             for &x in &plan.row_dense[i] {
@@ -1452,53 +1288,45 @@ fn register_level<'env>(
             }
             deps.extend(gate);
             let deps = dedup_deps(deps);
-            let bomb = h2_matrix::fault::task_panic_armed();
-            let id = scope.submit(
-                TaskKind::Compress,
+            let id = submit_task(
+                scope,
+                TaskKind::Fill,
                 prio(level, STAGE_FILL),
                 &deps,
-                move |me| {
-                    if bomb {
-                        panic!("injected task panic (H2_FAULT=task_panic)");
+                move |_| {
+                    let mut act: HashMap<usize, usize> = HashMap::new();
+                    for &i in std::iter::once(&k).chain(nk.iter()) {
+                        let Some(&a) = arena.active[i].get() else {
+                            return;
+                        };
+                        act.insert(i, a);
                     }
-                    let begun = ClassMeter::begin();
-                    let run = || {
-                        let mut act: HashMap<usize, usize> = HashMap::new();
-                        for &i in std::iter::once(&k).chain(nk.iter()) {
-                            let Some(&a) = arena.active[i].get() else {
-                                return;
-                            };
-                            act.insert(i, a);
-                        }
-                        // Pre-fetch every block the fill computation may query;
-                        // a dense candidate that never materialized contributes
-                        // zeros (exactly the phased code's absent-block case).
-                        let mut blocks: HashMap<(usize, usize), Option<&Matrix>> = HashMap::new();
-                        for &p in &pairs {
-                            match plan.dense_cand.binary_search(&p) {
-                                Ok(x) => match arena.dense_in[x].get() {
-                                    None => return,
-                                    Some(o) => {
-                                        blocks.insert(p, o.as_ref());
-                                    }
-                                },
-                                Err(_) => {
-                                    blocks.insert(p, None);
+                    // Pre-fetch every block the fill computation may query;
+                    // a dense candidate that never materialized contributes
+                    // zeros (exactly the phased code's absent-block case).
+                    let mut blocks: HashMap<(usize, usize), Option<&Matrix>> = HashMap::new();
+                    for &p in &pairs {
+                        match plan.dense_cand.binary_search(&p) {
+                            Ok(x) => match arena.dense_in[x].get() {
+                                None => return,
+                                Some(o) => {
+                                    blocks.insert(p, o.as_ref());
                                 }
+                            },
+                            Err(_) => {
+                                blocks.insert(p, None);
                             }
                         }
-                        let accessor = |ii: usize, jj: usize| -> Matrix {
-                            blocks
-                                .get(&(ii, jj))
-                                .and_then(|o| *o)
-                                .cloned()
-                                .unwrap_or_else(|| Matrix::zeros(act[&ii], act[&jj]))
-                        };
-                        let pf = fillin_pivot(k, nk, &accessor, plan.sample_cols, plan.fill_sketch);
-                        let _ = arena.fill[k].set(pf);
+                    }
+                    let accessor = |ii: usize, jj: usize| -> Matrix {
+                        blocks
+                            .get(&(ii, jj))
+                            .and_then(|o| *o)
+                            .cloned()
+                            .unwrap_or_else(|| Matrix::zeros(act[&ii], act[&jj]))
                     };
-                    run();
-                    meters.finish(me, CLASS_FILL, begun);
+                    let pf = fillin_pivot(k, nk, &accessor, plan.sample_cols, plan.fill_sketch);
+                    let _ = arena.fill[k].set(pf);
                 },
             );
             cur.fill[k] = Some(id);
@@ -1532,223 +1360,196 @@ fn register_level<'env>(
         }
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
         let eff_max_rank = plan.eff_max_rank;
-        let id = scope.submit(
+        let id = submit_task(
+            scope,
             TaskKind::Basis,
             prio(level, STAGE_BASIS),
             &deps,
-            move |me| {
-                if bomb {
-                    panic!("injected task panic (H2_FAULT=task_panic)");
-                }
-                let begun = ClassMeter::begin();
-                let run = || {
-                    let pa = |phase: usize, t0: Instant| {
-                        arena.phase_nanos[phase]
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    };
-                    let Some(&a) = arena.active[i].get() else {
-                        return;
-                    };
-                    let Some(rmap) = arena.row_map[i].get() else {
-                        return;
-                    };
-                    let Some(cmap) = arena.col_map[i].get() else {
-                        return;
-                    };
-                    let mut pfs: Vec<&PivotFills> = Vec::with_capacity(plan.pivots_of[i].len());
-                    for &kp in &plan.pivots_of[i] {
-                        let Some(pf) = arena.fill[kp].get() else {
-                            return;
-                        };
-                        pfs.push(pf);
-                    }
-                    let row_fill_list = row_fills_from(i, pfs.iter().copied());
-                    let col_fill_list = col_fills_from(i, pfs.iter().copied());
-                    // Carried-fill enrichment, in sorted pair order (the phased
-                    // code's sorted carry-key scan): a carry touching row `i`
-                    // enriches the row side, one touching column `i` the column
-                    // side (the diagonal does both).
-                    let mut extra_row: Vec<&Matrix> = Vec::new();
-                    let mut extra_col: Vec<Matrix> = Vec::new();
-                    for &(pair, slot) in &plan.carry_cand {
-                        if pair.0 != i && pair.1 != i {
-                            continue;
-                        }
-                        let carried = match slot {
-                            CarrySlot::Adm(x) => arena.adm_in[x].get(),
-                            CarrySlot::Pend(x) => arena.pend_in[x].get(),
-                        };
-                        let Some(carried) = carried else { return };
-                        let Some(m) = carried.as_ref() else { continue };
-                        if pair.0 == i {
-                            extra_row.push(m);
-                        }
-                        if pair.1 == i {
-                            extra_col.push(m.transpose());
-                        }
-                    }
-                    let cols = far_field_sample_indices(
-                        tree,
-                        partition,
-                        level,
-                        i,
-                        opts.basis_mode,
-                        opts.seed,
-                    );
-                    let rows_full = tree.original_indices(&clusters[i]);
-                    // Children's interpolation data (clusters 2i, 2i+1 of the finer
-                    // level), when every side of both children produced one.
-                    let child_interp = match child_arena {
-                        Some(ca) if opts.skeleton_construction && rmap.is_some() => {
-                            let Some(Ok(b1)) = ca.basis[2 * i].get() else {
-                                return;
-                            };
-                            let Some(Ok(b2)) = ca.basis[2 * i + 1].get() else {
-                                return;
-                            };
-                            match (
-                                b1.row_interp.as_ref(),
-                                b2.row_interp.as_ref(),
-                                b1.col_interp.as_ref(),
-                                b2.col_interp.as_ref(),
-                            ) {
-                                (Some(r1), Some(r2), Some(c1), Some(c2)) => Some((r1, r2, c1, c2)),
-                                _ => None,
-                            }
-                        }
-                        _ => None,
-                    };
-                    // Interpolated far-field rows used by this basis and, below, as
-                    // the candidate row sets for this cluster's skeleton selection.
-                    let mut row_cand: Vec<usize> = Vec::new();
-                    let mut col_cand: Vec<usize> = Vec::new();
-                    let (far_row, far_col) = if let Some((r1, r2, c1, c2)) = child_interp {
-                        row_cand.extend_from_slice(&r1.rows);
-                        row_cand.extend_from_slice(&r2.rows);
-                        col_cand.extend_from_slice(&c1.rows);
-                        col_cand.extend_from_slice(&c2.rows);
-                        let ta = Instant::now();
-                        let far_r = kernel.assemble(&tree.points, &row_cand, &cols);
-                        let far_c = kernel.assemble(&tree.points, &col_cand, &cols);
-                        pa(PH_ASSEMBLY, ta);
-                        // W^T A_far ≈ vcat(R_c^{-1} A[r_c, :]) per child.
-                        let f = far_r.cols();
-                        let k1 = r1.rows.len();
-                        let top = lu_solve_mat(&r1.lu, &far_r.block(0, 0, k1, f));
-                        let bot = lu_solve_mat(&r2.lu, &far_r.block(k1, 0, far_r.rows() - k1, f));
-                        let fr = top.vcat(&bot);
-                        let k1c = c1.rows.len();
-                        let top = lu_solve_mat(&c1.lu, &far_c.block(0, 0, k1c, f));
-                        let bot = lu_solve_mat(&c2.lu, &far_c.block(k1c, 0, far_c.rows() - k1c, f));
-                        (fr, top.vcat(&bot))
-                    } else {
-                        let ta = Instant::now();
-                        let far = kernel.assemble(&tree.points, rows_full, &cols);
-                        pa(PH_ASSEMBLY, ta);
-                        let far_row = match rmap {
-                            Some(w) => matmul_tn(w, &far),
-                            None => far.clone(),
-                        };
-                        let far_col = match cmap {
-                            Some(w) => matmul_tn(w, &far),
-                            None => far,
-                        };
-                        (far_row, far_col)
-                    };
-                    let tq = Instant::now();
-                    let mut row_refs: Vec<&Matrix> = vec![&far_row];
-                    row_refs.extend(row_fill_list.iter());
-                    row_refs.extend(extra_row.iter().copied());
-                    let mut col_refs: Vec<&Matrix> = vec![&far_col];
-                    col_refs.extend(col_fill_list.iter());
-                    col_refs.extend(extra_col.iter());
-                    let row_input = Matrix::hcat_all(&row_refs);
-                    let col_input = Matrix::hcat_all(&col_refs);
-                    let built = build_cluster_basis(
-                        &row_input,
-                        &col_input,
-                        a,
-                        opts.tol,
-                        eff_max_rank,
-                        opts.compression,
-                        mix_seed(opts.seed, level, i, 1),
-                        mix_seed(opts.seed, level, i, 2),
-                    );
-                    pa(PH_COMPRESSION, tq);
-                    let (cf, cap_hits, recovery) = match built {
-                        Ok(out) => out,
-                        Err(CompressError::NonFinite) => {
-                            let _ = arena.basis[i].set(Err(SolverError::NonFiniteInput {
-                                context: format!(
-                                    "far-field/fill panel of cluster {i} at level {level} \
-                                 contains non-finite values"
-                                ),
-                            }));
-                            return;
-                        }
-                        Err(CompressError::Breakdown) => {
-                            let _ = arena.basis[i]
-                                .set(Err(SolverError::CompressionBreakdown { cluster: i, level }));
-                            return;
-                        }
-                    };
-                    // This cluster's skeleton interpolation data for the coupling
-                    // tasks and the parent level.
-                    let (row_interp, col_interp) = if opts.skeleton_construction {
-                        let tt = Instant::now();
-                        let us = skeleton_of(&cf.q, cf.redundant);
-                        let vs = skeleton_of(&cf.p, cf.redundant);
-                        let interp_of = |sk: &Matrix,
-                                         pair: Option<(&SkeletonSide, &SkeletonSide)>,
-                                         cand: &[usize],
-                                         map: &Option<Matrix>|
-                         -> Option<SkeletonSide> {
-                            if let Some((s1, s2)) = pair {
-                                // Candidates restricted to child skeleton rows:
-                                // C = blockdiag(R_c1, R_c2) · U^S.
-                                let k1 = s1.rows.len();
-                                let top = matmul(&s1.rmat, &sk.block(0, 0, k1, sk.cols()));
-                                let bot =
-                                    matmul(&s2.rmat, &sk.block(k1, 0, sk.rows() - k1, sk.cols()));
-                                build_skeleton_interp(&top.vcat(&bot), cand)
-                            } else {
-                                match map {
-                                    // Identity map: the explicit skeleton map is U^S.
-                                    None => build_skeleton_interp(sk, rows_full),
-                                    // Fallback: materialize M = W · U^S over all rows.
-                                    Some(w) => build_skeleton_interp(&matmul(w, sk), rows_full),
-                                }
-                            }
-                        };
-                        let ri = interp_of(
-                            &us,
-                            child_interp.map(|(r1, r2, _, _)| (r1, r2)),
-                            &row_cand,
-                            rmap,
-                        );
-                        let ci = interp_of(
-                            &vs,
-                            child_interp.map(|(_, _, c1, c2)| (c1, c2)),
-                            &col_cand,
-                            cmap,
-                        );
-                        pa(PH_TRANSFER, tt);
-                        (ri, ci)
-                    } else {
-                        (None, None)
-                    };
-                    let _ = arena.basis[i].set(Ok(BasisOut {
-                        cf,
-                        cap_hits,
-                        recovery,
-                        row_interp,
-                        col_interp,
-                    }));
+            move |_| {
+                let Some(&a) = arena.active[i].get() else {
+                    return;
                 };
-                run();
-                meters.finish(me, CLASS_BASIS, begun);
+                let Some(rmap) = arena.row_map[i].get() else {
+                    return;
+                };
+                let Some(cmap) = arena.col_map[i].get() else {
+                    return;
+                };
+                let mut pfs: Vec<&PivotFills> = Vec::with_capacity(plan.pivots_of[i].len());
+                for &kp in &plan.pivots_of[i] {
+                    let Some(pf) = arena.fill[kp].get() else {
+                        return;
+                    };
+                    pfs.push(pf);
+                }
+                let row_fill_list = row_fills_from(i, pfs.iter().copied());
+                let col_fill_list = col_fills_from(i, pfs.iter().copied());
+                // Carried-fill enrichment, in sorted pair order (the phased
+                // code's sorted carry-key scan): a carry touching row `i`
+                // enriches the row side, one touching column `i` the column
+                // side (the diagonal does both).
+                let mut extra_row: Vec<&Matrix> = Vec::new();
+                let mut extra_col: Vec<Matrix> = Vec::new();
+                for &(pair, slot) in &plan.carry_cand {
+                    if pair.0 != i && pair.1 != i {
+                        continue;
+                    }
+                    let carried = match slot {
+                        CarrySlot::Adm(x) => arena.adm_in[x].get(),
+                        CarrySlot::Pend(x) => arena.pend_in[x].get(),
+                    };
+                    let Some(carried) = carried else { return };
+                    let Some(m) = carried.as_ref() else { continue };
+                    if pair.0 == i {
+                        extra_row.push(m);
+                    }
+                    if pair.1 == i {
+                        extra_col.push(m.transpose());
+                    }
+                }
+                let cols =
+                    far_field_sample_indices(tree, partition, level, i, opts.basis_mode, opts.seed);
+                let rows_full = tree.original_indices(&clusters[i]);
+                // Children's interpolation data (clusters 2i, 2i+1 of the finer
+                // level), when every side of both children produced one.
+                let child_interp = match child_arena {
+                    Some(ca) if opts.skeleton_construction && rmap.is_some() => {
+                        let Some(Ok(b1)) = ca.basis[2 * i].get() else {
+                            return;
+                        };
+                        let Some(Ok(b2)) = ca.basis[2 * i + 1].get() else {
+                            return;
+                        };
+                        match (
+                            b1.row_interp.as_ref(),
+                            b2.row_interp.as_ref(),
+                            b1.col_interp.as_ref(),
+                            b2.col_interp.as_ref(),
+                        ) {
+                            (Some(r1), Some(r2), Some(c1), Some(c2)) => Some((r1, r2, c1, c2)),
+                            _ => None,
+                        }
+                    }
+                    _ => None,
+                };
+                // Interpolated far-field rows used by this basis and, below, as
+                // the candidate row sets for this cluster's skeleton selection.
+                let mut row_cand: Vec<usize> = Vec::new();
+                let mut col_cand: Vec<usize> = Vec::new();
+                let (far_row, far_col) = if let Some((r1, r2, c1, c2)) = child_interp {
+                    row_cand.extend_from_slice(&r1.rows);
+                    row_cand.extend_from_slice(&r2.rows);
+                    col_cand.extend_from_slice(&c1.rows);
+                    col_cand.extend_from_slice(&c2.rows);
+                    let far_r = kernel.assemble(&tree.points, &row_cand, &cols);
+                    let far_c = kernel.assemble(&tree.points, &col_cand, &cols);
+                    // W^T A_far ≈ vcat(R_c^{-1} A[r_c, :]) per child.
+                    let f = far_r.cols();
+                    let k1 = r1.rows.len();
+                    let top = lu_solve_mat(&r1.lu, &far_r.block(0, 0, k1, f));
+                    let bot = lu_solve_mat(&r2.lu, &far_r.block(k1, 0, far_r.rows() - k1, f));
+                    let fr = top.vcat(&bot);
+                    let k1c = c1.rows.len();
+                    let top = lu_solve_mat(&c1.lu, &far_c.block(0, 0, k1c, f));
+                    let bot = lu_solve_mat(&c2.lu, &far_c.block(k1c, 0, far_c.rows() - k1c, f));
+                    (fr, top.vcat(&bot))
+                } else {
+                    let far = kernel.assemble(&tree.points, rows_full, &cols);
+                    let far_row = match rmap {
+                        Some(w) => matmul_tn(w, &far),
+                        None => far.clone(),
+                    };
+                    let far_col = match cmap {
+                        Some(w) => matmul_tn(w, &far),
+                        None => far,
+                    };
+                    (far_row, far_col)
+                };
+                let mut row_refs: Vec<&Matrix> = vec![&far_row];
+                row_refs.extend(row_fill_list.iter());
+                row_refs.extend(extra_row.iter().copied());
+                let mut col_refs: Vec<&Matrix> = vec![&far_col];
+                col_refs.extend(col_fill_list.iter());
+                col_refs.extend(extra_col.iter());
+                let row_input = Matrix::hcat_all(&row_refs);
+                let col_input = Matrix::hcat_all(&col_refs);
+                let built = build_cluster_basis(
+                    &row_input,
+                    &col_input,
+                    a,
+                    opts.tol,
+                    eff_max_rank,
+                    opts.compression,
+                    mix_seed(opts.seed, level, i, 1),
+                    mix_seed(opts.seed, level, i, 2),
+                );
+                let (cf, cap_hits, recovery) = match built {
+                    Ok(out) => out,
+                    Err(CompressError::NonFinite) => {
+                        let _ = arena.basis[i].set(Err(SolverError::NonFiniteInput {
+                            context: format!(
+                                "far-field/fill panel of cluster {i} at level {level} \
+                                 contains non-finite values"
+                            ),
+                        }));
+                        return;
+                    }
+                    Err(CompressError::Breakdown) => {
+                        let _ = arena.basis[i]
+                            .set(Err(SolverError::CompressionBreakdown { cluster: i, level }));
+                        return;
+                    }
+                };
+                // This cluster's skeleton interpolation data for the coupling
+                // tasks and the parent level.
+                let (row_interp, col_interp) = if opts.skeleton_construction {
+                    let us = skeleton_of(&cf.q, cf.redundant);
+                    let vs = skeleton_of(&cf.p, cf.redundant);
+                    let interp_of = |sk: &Matrix,
+                                     pair: Option<(&SkeletonSide, &SkeletonSide)>,
+                                     cand: &[usize],
+                                     map: &Option<Matrix>|
+                     -> Option<SkeletonSide> {
+                        if let Some((s1, s2)) = pair {
+                            // Candidates restricted to child skeleton rows:
+                            // C = blockdiag(R_c1, R_c2) · U^S.
+                            let k1 = s1.rows.len();
+                            let top = matmul(&s1.rmat, &sk.block(0, 0, k1, sk.cols()));
+                            let bot = matmul(&s2.rmat, &sk.block(k1, 0, sk.rows() - k1, sk.cols()));
+                            build_skeleton_interp(&top.vcat(&bot), cand)
+                        } else {
+                            match map {
+                                // Identity map: the explicit skeleton map is U^S.
+                                None => build_skeleton_interp(sk, rows_full),
+                                // Fallback: materialize M = W · U^S over all rows.
+                                Some(w) => build_skeleton_interp(&matmul(w, sk), rows_full),
+                            }
+                        }
+                    };
+                    let ri = interp_of(
+                        &us,
+                        child_interp.map(|(r1, r2, _, _)| (r1, r2)),
+                        &row_cand,
+                        rmap,
+                    );
+                    let ci = interp_of(
+                        &vs,
+                        child_interp.map(|(_, _, c1, c2)| (c1, c2)),
+                        &col_cand,
+                        cmap,
+                    );
+                    (ri, ci)
+                } else {
+                    (None, None)
+                };
+                let _ = arena.basis[i].set(Ok(BasisOut {
+                    cf,
+                    cap_hits,
+                    recovery,
+                    row_interp,
+                    col_interp,
+                }));
             },
         );
         cur.basis.push(id);
@@ -1763,94 +1564,70 @@ fn register_level<'env>(
         deps.extend(cur.map_prod[j]);
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(
-            TaskKind::Compress,
+        let id = submit_task(
+            scope,
+            TaskKind::Coupling,
             prio(level, STAGE_COUPLING),
             &deps,
-            move |me| {
-                if bomb {
-                    panic!("injected task panic (H2_FAULT=task_panic)");
-                }
-                let begun = ClassMeter::begin();
-                let run = || {
-                    let pa = |phase: usize, t0: Instant| {
-                        arena.phase_nanos[phase]
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    };
-                    // An errored basis dependency degrades this task to a
-                    // no-op; the collection pass surfaces the basis error.
-                    let (Some(Ok(bi)), Some(Ok(bj))) = (arena.basis[i].get(), arena.basis[j].get())
-                    else {
-                        return;
-                    };
-                    let Some(rmap_i) = arena.row_map[i].get() else {
-                        return;
-                    };
-                    let Some(cmap_j) = arena.col_map[j].get() else {
-                        return;
-                    };
-                    let Some(carry_in) = arena.adm_in[x].get() else {
-                        return;
-                    };
-                    let (cfi, cfj) = (&bi.cf, &bj.cf);
-                    let mut s = if cfi.skeleton == 0 || cfj.skeleton == 0 {
-                        Matrix::zeros(cfi.skeleton, cfj.skeleton)
-                    } else if let (true, Some(ri), Some(cj)) = (
-                        opts.skeleton_construction,
-                        bi.row_interp.as_ref(),
-                        bj.col_interp.as_ref(),
-                    ) {
-                        // S ≈ R_i^{-1} · A[r_i, c_j] · R_j^{-T}  (M^T M = I).
-                        let ta = Instant::now();
-                        let a_rc = kernel.assemble(&tree.points, &ri.rows, &cj.rows);
-                        pa(PH_ASSEMBLY, ta);
-                        let tc = Instant::now();
-                        let xm = lu_solve_mat(&ri.lu, &a_rc);
-                        let s = lu_solve_mat(&cj.lu, &xm.transpose()).transpose();
-                        pa(PH_COUPLING, tc);
-                        s
-                    } else {
-                        let ta = Instant::now();
-                        let a = kernel.assemble(
-                            &tree.points,
-                            tree.original_indices(&clusters[i]),
-                            tree.original_indices(&clusters[j]),
-                        );
-                        pa(PH_ASSEMBLY, ta);
-                        let tc = Instant::now();
-                        let m = match (rmap_i, cmap_j) {
-                            (Some(wi), Some(wj)) => matmul(&matmul_tn(wi, &a), wj),
-                            (Some(wi), None) => matmul_tn(wi, &a),
-                            (None, Some(wj)) => matmul(&a, wj),
-                            (None, None) => a,
-                        };
-                        let us = skeleton_of(&cfi.q, cfi.redundant);
-                        let vs = skeleton_of(&cfj.p, cfj.redundant);
-                        let s = matmul(&matmul_tn(&us, &m), &vs);
-                        pa(PH_COUPLING, tc);
-                        s
-                    };
-                    if let Some(carry) = carry_in.as_ref() {
-                        let tc = Instant::now();
-                        let us = skeleton_of(&cfi.q, cfi.redundant);
-                        let vs = skeleton_of(&cfj.p, cfj.redundant);
-                        s += &matmul(&matmul_tn(&us, carry), &vs);
-                        pa(PH_COUPLING, tc);
-                    }
-                    let _ = arena.coupling[x].set(if matrix_is_finite(&s) {
-                        Ok(s)
-                    } else {
-                        Err(SolverError::NonFiniteInput {
-                            context: format!(
-                                "skeleton coupling ({i}, {j}) at level {level} \
-                                 contains non-finite values"
-                            ),
-                        })
-                    });
+            move |_| {
+                // An errored basis dependency degrades this task to a
+                // no-op; the collection pass surfaces the basis error.
+                let (Some(Ok(bi)), Some(Ok(bj))) = (arena.basis[i].get(), arena.basis[j].get())
+                else {
+                    return;
                 };
-                run();
-                meters.finish(me, CLASS_COUPLING, begun);
+                let Some(rmap_i) = arena.row_map[i].get() else {
+                    return;
+                };
+                let Some(cmap_j) = arena.col_map[j].get() else {
+                    return;
+                };
+                let Some(carry_in) = arena.adm_in[x].get() else {
+                    return;
+                };
+                let (cfi, cfj) = (&bi.cf, &bj.cf);
+                let mut s = if cfi.skeleton == 0 || cfj.skeleton == 0 {
+                    Matrix::zeros(cfi.skeleton, cfj.skeleton)
+                } else if let (true, Some(ri), Some(cj)) = (
+                    opts.skeleton_construction,
+                    bi.row_interp.as_ref(),
+                    bj.col_interp.as_ref(),
+                ) {
+                    // S ≈ R_i^{-1} · A[r_i, c_j] · R_j^{-T}  (M^T M = I).
+                    let a_rc = kernel.assemble(&tree.points, &ri.rows, &cj.rows);
+                    let xm = lu_solve_mat(&ri.lu, &a_rc);
+                    lu_solve_mat(&cj.lu, &xm.transpose()).transpose()
+                } else {
+                    let a = kernel.assemble(
+                        &tree.points,
+                        tree.original_indices(&clusters[i]),
+                        tree.original_indices(&clusters[j]),
+                    );
+                    let m = match (rmap_i, cmap_j) {
+                        (Some(wi), Some(wj)) => matmul(&matmul_tn(wi, &a), wj),
+                        (Some(wi), None) => matmul_tn(wi, &a),
+                        (None, Some(wj)) => matmul(&a, wj),
+                        (None, None) => a,
+                    };
+                    let us = skeleton_of(&cfi.q, cfi.redundant);
+                    let vs = skeleton_of(&cfj.p, cfj.redundant);
+                    matmul(&matmul_tn(&us, &m), &vs)
+                };
+                if let Some(carry) = carry_in.as_ref() {
+                    let us = skeleton_of(&cfi.q, cfi.redundant);
+                    let vs = skeleton_of(&cfj.p, cfj.redundant);
+                    s += &matmul(&matmul_tn(&us, carry), &vs);
+                }
+                let _ = arena.coupling[x].set(if matrix_is_finite(&s) {
+                    Ok(s)
+                } else {
+                    Err(SolverError::NonFiniteInput {
+                        context: format!(
+                            "skeleton coupling ({i}, {j}) at level {level} \
+                                 contains non-finite values"
+                        ),
+                    })
+                });
             },
         );
         cur.coupling.push(id);
@@ -1871,53 +1648,45 @@ fn register_level<'env>(
         }
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(
-            TaskKind::Update,
+        let id = submit_task(
+            scope,
+            TaskKind::Transform,
             prio(level, STAGE_TRANSFORM),
             &deps,
-            move |me| {
-                if bomb {
-                    panic!("injected task panic (H2_FAULT=task_panic)");
-                }
-                let begun = ClassMeter::begin();
-                let run = || {
-                    let Some(Ok(bi)) = arena.basis[i].get() else {
+            move |_| {
+                let Some(Ok(bi)) = arena.basis[i].get() else {
+                    return;
+                };
+                let qi = &bi.cf.q;
+                // Materialized blocks only, in ascending column order; an
+                // absent candidate transforms to an absent block.
+                let mut live: Vec<(usize, &Matrix, &Matrix)> =
+                    Vec::with_capacity(plan.row_dense[i].len());
+                for &x in &plan.row_dense[i] {
+                    let Some(din) = arena.dense_in[x].get() else {
                         return;
                     };
-                    let qi = &bi.cf.q;
-                    // Materialized blocks only, in ascending column order; an
-                    // absent candidate transforms to an absent block.
-                    let mut live: Vec<(usize, &Matrix, &Matrix)> =
-                        Vec::with_capacity(plan.row_dense[i].len());
-                    for &x in &plan.row_dense[i] {
-                        let Some(din) = arena.dense_in[x].get() else {
-                            return;
-                        };
-                        let Some(d) = din.as_ref() else {
-                            let _ = arena.transform[x].set(None);
-                            continue;
-                        };
-                        let j = plan.dense_cand[x].1;
-                        let Some(Ok(bj)) = arena.basis[j].get() else {
-                            return;
-                        };
-                        live.push((x, d, &bj.cf.p));
-                    }
-                    let ds: Vec<&Matrix> = live.iter().map(|&(_, d, _)| d).collect();
-                    let qtd = matmul_tn_batch_shared_a(qi, &ds);
-                    let second: Vec<(&Matrix, &Matrix)> = qtd
-                        .iter()
-                        .zip(live.iter())
-                        .map(|(qd, &(_, _, p))| (qd as &Matrix, p))
-                        .collect();
-                    let done = matmul_batch(&second);
-                    for (&(x, _, _), m) in live.iter().zip(done) {
-                        let _ = arena.transform[x].set(Some(m));
-                    }
-                };
-                run();
-                meters.finish(me, CLASS_TRANSFORM, begun);
+                    let Some(d) = din.as_ref() else {
+                        let _ = arena.transform[x].set(None);
+                        continue;
+                    };
+                    let j = plan.dense_cand[x].1;
+                    let Some(Ok(bj)) = arena.basis[j].get() else {
+                        return;
+                    };
+                    live.push((x, d, &bj.cf.p));
+                }
+                let ds: Vec<&Matrix> = live.iter().map(|&(_, d, _)| d).collect();
+                let qtd = matmul_tn_batch_shared_a(qi, &ds);
+                let second: Vec<(&Matrix, &Matrix)> = qtd
+                    .iter()
+                    .zip(live.iter())
+                    .map(|(qd, &(_, _, p))| (qd as &Matrix, p))
+                    .collect();
+                let done = matmul_batch(&second);
+                for (&(x, _, _), m) in live.iter().zip(done) {
+                    let _ = arena.transform[x].set(Some(m));
+                }
             },
         );
         cur.row_transform[i] = Some(id);
@@ -1943,175 +1712,166 @@ fn register_level<'env>(
         }
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(
-            TaskKind::Factor,
+        let id = submit_task(
+            scope,
+            TaskKind::Pivot,
             prio(level, STAGE_PIVOT),
             &deps,
-            move |me| {
-                if bomb {
-                    panic!("injected task panic (H2_FAULT=task_panic)");
-                }
-                let begun = ClassMeter::begin();
-                let run = || {
-                    // A neighbour pair outside the dense candidate list (or a
-                    // candidate that never materialized) is an internal invariant
-                    // violation — reported as a typed error, never a panic; an
-                    // *unset* transform slot means an upstream error and degrades
-                    // this task to a no-op.
-                    let tr = |ii: usize, jj: usize| -> SolverResult<Option<&Matrix>> {
-                        let Ok(x) = plan.dense_cand.binary_search(&(ii, jj)) else {
-                            return Err(SolverError::Internal {
-                                what: format!(
-                                    "transformed dense block ({ii}, {jj}) missing at level {level}"
-                                ),
-                            });
-                        };
-                        match arena.transform[x].get() {
-                            None => Ok(None),
-                            Some(None) => Err(SolverError::Internal {
-                                what: format!(
-                                    "transformed dense block ({ii}, {jj}) missing at level {level}"
-                                ),
-                            }),
-                            Some(Some(d)) => Ok(Some(d)),
-                        }
+            move |_| {
+                // A neighbour pair outside the dense candidate list (or a
+                // candidate that never materialized) is an internal invariant
+                // violation — reported as a typed error, never a panic; an
+                // *unset* transform slot means an upstream error and degrades
+                // this task to a no-op.
+                let tr = |ii: usize, jj: usize| -> SolverResult<Option<&Matrix>> {
+                    let Ok(x) = plan.dense_cand.binary_search(&(ii, jj)) else {
+                        return Err(SolverError::Internal {
+                            what: format!(
+                                "transformed dense block ({ii}, {jj}) missing at level {level}"
+                            ),
+                        });
                     };
-                    let cfof = |ii: usize| -> Option<&ClusterFactor> {
-                        match arena.basis[ii].get() {
-                            Some(Ok(b)) => Some(&b.cf),
-                            _ => None,
-                        }
-                    };
-                    let body = || -> SolverResult<Option<PivotResult>> {
-                        let Some(c0) = cfof(k) else { return Ok(None) };
-                        let rk = c0.redundant;
-                        let mut res = PivotResult {
-                            k,
-                            lu: None,
-                            shifted: false,
-                            row_rr: Vec::new(),
-                            row_rs: Vec::new(),
-                            col_rr: Vec::new(),
-                            col_sr: Vec::new(),
-                            schur: Vec::new(),
-                        };
-                        if rk > 0 {
-                            let Some(dkk) = tr(k, k)? else {
-                                return Ok(None);
-                            };
-                            let mut diag = dkk.block(0, 0, rk, rk);
-                            // Fault injection (`H2_FAULT=singular_pivot:<c>`): make
-                            // the targeted leaf cluster's block exactly singular.
-                            if leaf_level {
-                                if let Some(h2_matrix::fault::FaultPlan::SingularPivot {
-                                    cluster,
-                                }) = h2_matrix::fault::plan()
-                                {
-                                    if k == cluster % nb {
-                                        diag = Matrix::from_fn(rk, rk, |_, _| 1.0);
-                                    }
-                                }
-                            }
-                            let lu = match lu_factor(&diag) {
-                                Ok(lu) => lu,
-                                Err(_) => {
-                                    // Repair attempt: a diagonal shift of
-                                    // sqrt(eps)·max|entry| regularizes a singular
-                                    // block at an O(sqrt(eps)) local perturbation —
-                                    // iterative refinement at solve time mops up
-                                    // the difference.  Only a finite, non-zero
-                                    // block is worth shifting.
-                                    let ma = h2_matrix::max_abs(&diag);
-                                    let repaired = if ma.is_finite() && ma > 0.0 {
-                                        let shift = f64::EPSILON.sqrt() * ma;
-                                        let mut shifted = diag.clone();
-                                        for d in 0..rk {
-                                            shifted.set(d, d, shifted[(d, d)] + shift);
-                                        }
-                                        lu_factor(&shifted).ok()
-                                    } else {
-                                        None
-                                    };
-                                    match repaired {
-                                        Some(lu) => {
-                                            res.shifted = true;
-                                            lu
-                                        }
-                                        None => {
-                                            return Err(SolverError::SingularPivot {
-                                                cluster: k,
-                                                level,
-                                            })
-                                        }
-                                    }
-                                }
-                            };
-                            // Row panels (rows R_k) and column panels (columns R_k).
-                            let mut row_targets = plan.neighbours[k].clone();
-                            row_targets.push(k);
-                            for &j in &row_targets {
-                                let Some(d) = tr(k, j)? else { return Ok(None) };
-                                let Some(cj) = cfof(j) else { return Ok(None) };
-                                let rj = cj.redundant;
-                                let kj = cj.skeleton;
-                                if kj > 0 {
-                                    let rs = d.block(0, rj, rk, kj);
-                                    res.row_rs.push(((k, j), lu.forward_mat(&rs)));
-                                }
-                                if j != k && rj > 0 {
-                                    let rr = d.block(0, 0, rk, rj);
-                                    res.row_rr.push(((k, j), lu.forward_mat(&rr)));
-                                }
-                            }
-                            for &i in &row_targets {
-                                let Some(d) = tr(i, k)? else { return Ok(None) };
-                                let Some(ci) = cfof(i) else { return Ok(None) };
-                                let ri = ci.redundant;
-                                let ki = ci.skeleton;
-                                if ki > 0 {
-                                    let sr = d.block(ri, 0, ki, rk);
-                                    res.col_sr.push(((i, k), lu.right_solve_upper(&sr)));
-                                }
-                                if i != k && ri > 0 {
-                                    let rr = d.block(0, 0, ri, rk);
-                                    res.col_rr.push(((i, k), lu.right_solve_upper(&rr)));
-                                }
-                            }
-                            // Schur updates onto skeleton-skeleton blocks only,
-                            // streamed through the batched small-GEMM path.
-                            let mut schur_idx: Vec<(usize, usize)> = Vec::new();
-                            let mut schur_pairs: Vec<(&Matrix, &Matrix)> = Vec::new();
-                            for (key_i, zi) in &res.col_sr {
-                                for (key_j, wj) in &res.row_rs {
-                                    schur_idx.push((key_i.0, key_j.1));
-                                    schur_pairs.push((zi, wj));
-                                }
-                            }
-                            let prods = matmul_batch(&schur_pairs);
-                            res.schur = schur_idx
-                                .into_iter()
-                                .zip(prods)
-                                .map(|((si, sj), m)| (si, sj, m))
-                                .collect();
-                            res.lu = Some(lu);
-                        }
-                        Ok(Some(res))
-                    };
-                    match body() {
-                        // Upstream degradation: leave the slot unset (the upstream
-                        // error surfaces first in the collection pass).
-                        Ok(None) => {}
-                        Ok(Some(r)) => {
-                            let _ = arena.pivot[k].set(Ok(r));
-                        }
-                        Err(e) => {
-                            let _ = arena.pivot[k].set(Err(e));
-                        }
+                    match arena.transform[x].get() {
+                        None => Ok(None),
+                        Some(None) => Err(SolverError::Internal {
+                            what: format!(
+                                "transformed dense block ({ii}, {jj}) missing at level {level}"
+                            ),
+                        }),
+                        Some(Some(d)) => Ok(Some(d)),
                     }
                 };
-                run();
-                meters.finish(me, CLASS_PIVOT, begun);
+                let cfof = |ii: usize| -> Option<&ClusterFactor> {
+                    match arena.basis[ii].get() {
+                        Some(Ok(b)) => Some(&b.cf),
+                        _ => None,
+                    }
+                };
+                let body = || -> SolverResult<Option<PivotResult>> {
+                    let Some(c0) = cfof(k) else { return Ok(None) };
+                    let rk = c0.redundant;
+                    let mut res = PivotResult {
+                        k,
+                        lu: None,
+                        shifted: false,
+                        row_rr: Vec::new(),
+                        row_rs: Vec::new(),
+                        col_rr: Vec::new(),
+                        col_sr: Vec::new(),
+                        schur: Vec::new(),
+                    };
+                    if rk > 0 {
+                        let Some(dkk) = tr(k, k)? else {
+                            return Ok(None);
+                        };
+                        let mut diag = dkk.block(0, 0, rk, rk);
+                        // Fault injection (`H2_FAULT=singular_pivot:<c>`): make
+                        // the targeted leaf cluster's block exactly singular.
+                        if leaf_level {
+                            if let Some(h2_matrix::fault::FaultPlan::SingularPivot { cluster }) =
+                                h2_matrix::fault::plan()
+                            {
+                                if k == cluster % nb {
+                                    diag = Matrix::from_fn(rk, rk, |_, _| 1.0);
+                                }
+                            }
+                        }
+                        let lu = match lu_factor(&diag) {
+                            Ok(lu) => lu,
+                            Err(_) => {
+                                // Repair attempt: a diagonal shift of
+                                // sqrt(eps)·max|entry| regularizes a singular
+                                // block at an O(sqrt(eps)) local perturbation —
+                                // iterative refinement at solve time mops up
+                                // the difference.  Only a finite, non-zero
+                                // block is worth shifting.
+                                let ma = h2_matrix::max_abs(&diag);
+                                let repaired = if ma.is_finite() && ma > 0.0 {
+                                    let shift = f64::EPSILON.sqrt() * ma;
+                                    let mut shifted = diag.clone();
+                                    for d in 0..rk {
+                                        shifted.set(d, d, shifted[(d, d)] + shift);
+                                    }
+                                    lu_factor(&shifted).ok()
+                                } else {
+                                    None
+                                };
+                                match repaired {
+                                    Some(lu) => {
+                                        res.shifted = true;
+                                        lu
+                                    }
+                                    None => {
+                                        return Err(SolverError::SingularPivot {
+                                            cluster: k,
+                                            level,
+                                        })
+                                    }
+                                }
+                            }
+                        };
+                        // Row panels (rows R_k) and column panels (columns R_k).
+                        let mut row_targets = plan.neighbours[k].clone();
+                        row_targets.push(k);
+                        for &j in &row_targets {
+                            let Some(d) = tr(k, j)? else { return Ok(None) };
+                            let Some(cj) = cfof(j) else { return Ok(None) };
+                            let rj = cj.redundant;
+                            let kj = cj.skeleton;
+                            if kj > 0 {
+                                let rs = d.block(0, rj, rk, kj);
+                                res.row_rs.push(((k, j), lu.forward_mat(&rs)));
+                            }
+                            if j != k && rj > 0 {
+                                let rr = d.block(0, 0, rk, rj);
+                                res.row_rr.push(((k, j), lu.forward_mat(&rr)));
+                            }
+                        }
+                        for &i in &row_targets {
+                            let Some(d) = tr(i, k)? else { return Ok(None) };
+                            let Some(ci) = cfof(i) else { return Ok(None) };
+                            let ri = ci.redundant;
+                            let ki = ci.skeleton;
+                            if ki > 0 {
+                                let sr = d.block(ri, 0, ki, rk);
+                                res.col_sr.push(((i, k), lu.right_solve_upper(&sr)));
+                            }
+                            if i != k && ri > 0 {
+                                let rr = d.block(0, 0, ri, rk);
+                                res.col_rr.push(((i, k), lu.right_solve_upper(&rr)));
+                            }
+                        }
+                        // Schur updates onto skeleton-skeleton blocks only,
+                        // streamed through the batched small-GEMM path.
+                        let mut schur_idx: Vec<(usize, usize)> = Vec::new();
+                        let mut schur_pairs: Vec<(&Matrix, &Matrix)> = Vec::new();
+                        for (key_i, zi) in &res.col_sr {
+                            for (key_j, wj) in &res.row_rs {
+                                schur_idx.push((key_i.0, key_j.1));
+                                schur_pairs.push((zi, wj));
+                            }
+                        }
+                        let prods = matmul_batch(&schur_pairs);
+                        res.schur = schur_idx
+                            .into_iter()
+                            .zip(prods)
+                            .map(|((si, sj), m)| (si, sj, m))
+                            .collect();
+                        res.lu = Some(lu);
+                    }
+                    Ok(Some(res))
+                };
+                match body() {
+                    // Upstream degradation: leave the slot unset (the upstream
+                    // error surfaces first in the collection pass).
+                    Ok(None) => {}
+                    Ok(Some(r)) => {
+                        let _ = arena.pivot[k].set(Ok(r));
+                    }
+                    Err(e) => {
+                        let _ = arena.pivot[k].set(Err(e));
+                    }
+                }
             },
         );
         prev_pivot = Some(id);
@@ -2140,13 +1900,12 @@ fn register_level<'env>(
         }
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(TaskKind::Update, prio(level, STAGE_SS), &deps, move |me| {
-            if bomb {
-                panic!("injected task panic (H2_FAULT=task_panic)");
-            }
-            let begun = ClassMeter::begin();
-            let run = || {
+        let id = submit_task(
+            scope,
+            TaskKind::Schur,
+            prio(level, STAGE_SS),
+            &deps,
+            move |_| {
                 let (Some(Ok(bi)), Some(Ok(bj))) = (arena.basis[i].get(), arena.basis[j].get())
                 else {
                     return;
@@ -2199,10 +1958,8 @@ fn register_level<'env>(
                     }
                 }
                 let _ = arena.ss[cx].set(entry);
-            };
-            run();
-            meters.finish(me, CLASS_SCHUR, begun);
-        });
+            },
+        );
         cur.ss.push(id);
         cur.all.push(id);
     }
@@ -2219,13 +1976,12 @@ fn register_level<'env>(
                 deps.extend(cur.map_prod[2 * p + 1]);
                 deps.extend(gate);
                 let deps = dedup_deps(deps);
-                let bomb = h2_matrix::fault::task_panic_armed();
-                let id = scope.submit(TaskKind::Other, prio(level, STAGE_MAP), &deps, move |me| {
-                    if bomb {
-                        panic!("injected task panic (H2_FAULT=task_panic)");
-                    }
-                    let begun = ClassMeter::begin();
-                    let run = || {
+                let id = submit_task(
+                    scope,
+                    TaskKind::Map,
+                    prio(level, STAGE_MAP),
+                    &deps,
+                    move |_| {
                         let Some(Ok(b1)) = arena.basis[2 * p].get() else {
                             return;
                         };
@@ -2254,10 +2010,8 @@ fn register_level<'env>(
                         let _ = pa_arena.active[p].set(row.cols());
                         let _ = pa_arena.row_map[p].set(Some(row));
                         let _ = pa_arena.col_map[p].set(Some(col));
-                    };
-                    run();
-                    meters.finish(me, CLASS_MAP, begun);
-                });
+                    },
+                );
                 pt.map_prod[p] = Some(id);
                 cur.all.push(id);
             }
@@ -2279,109 +2033,93 @@ fn register_level<'env>(
         }
         deps.extend(gate);
         let deps = dedup_deps(deps);
-        let bomb = h2_matrix::fault::task_panic_armed();
-        let id = scope.submit(
-            TaskKind::Update,
+        let id = submit_task(
+            scope,
+            TaskKind::Merge,
             prio(level, STAGE_MERGE),
             &deps,
             move |me| {
-                if bomb {
-                    panic!("injected task panic (H2_FAULT=task_panic)");
-                }
-                let begun = ClassMeter::begin();
-                let run = || {
-                    let skel = |b: usize| -> Option<usize> {
-                        match arena.basis[b].get() {
-                            Some(Ok(out)) => Some(out.cf.skeleton),
-                            _ => None,
-                        }
-                    };
-                    let (Some(k0), Some(k1), Some(k2), Some(k3)) = (
-                        skel(2 * pi),
-                        skel(2 * pi + 1),
-                        skel(2 * pj),
-                        skel(2 * pj + 1),
-                    ) else {
-                        return;
-                    };
-                    let rows = k0 + k1;
-                    let cols = k2 + k3;
-                    // `None` = no child block materialized (the parent slot is
-                    // runtime-absent); one child is enough to materialize the
-                    // merged block, even at zero dimensions.
-                    let mut out: Option<Matrix> = None;
-                    for &cx in &g.children {
-                        let (ci, cj) = plan.ss_cand[cx].pair;
-                        let Some(block) = arena.ss[cx].get() else {
-                            return;
-                        };
-                        let Some(m) = block.as_ref() else { continue };
-                        let merged = out.get_or_insert_with(|| Matrix::zeros(rows, cols));
-                        let ro = if ci % 2 == 0 { 0 } else { k0 };
-                        let co = if cj % 2 == 0 { 0 } else { k2 };
-                        if m.rows() > 0 && m.cols() > 0 {
-                            merged.add_block(ro, co, m);
-                        }
-                    }
-                    match g.target {
-                        MergeTarget::Dense(x) => {
-                            let Some(pa_arena) = parent_arena else { return };
-                            let _ = pa_arena.dense_in[x].set(out);
-                        }
-                        MergeTarget::Adm(x) => {
-                            let Some(pa_arena) = parent_arena else { return };
-                            let _ = pa_arena.adm_in[x].set(out);
-                        }
-                        MergeTarget::Pend(x) => {
-                            let Some(pa_arena) = parent_arena else { return };
-                            let _ = pa_arena.pend_in[x].set(out);
-                        }
-                        MergeTarget::Root => {
-                            // The dense root factorization is submitted
-                            // dynamically, from inside the task that produced
-                            // its input — the graph grows at runtime.
-                            let bomb2 = h2_matrix::fault::task_panic_armed();
-                            me.submit(TaskKind::Factor, 0.0, &[], move |me| {
-                                if bomb2 {
-                                    panic!("injected task panic (H2_FAULT=task_panic)");
-                                }
-                                let begun2 = ClassMeter::begin();
-                                let root_res = (|| -> SolverResult<RootOut> {
-                                    let Some(root) = out else {
-                                        return Err(SolverError::Internal {
-                                            what: "root block missing after level merge"
-                                                .to_string(),
-                                        });
-                                    };
-                                    if !matrix_is_finite(&root) {
-                                        return Err(SolverError::NonFiniteInput {
-                                            context: "root skeleton system contains \
-                                                      non-finite values"
-                                                .to_string(),
-                                        });
-                                    }
-                                    let dim = root.rows();
-                                    let lu = lu_factor(&root).map_err(|_| {
-                                        SolverError::SingularPivot {
-                                            cluster: 0,
-                                            level: 0,
-                                        }
-                                    })?;
-                                    Ok(RootOut {
-                                        dim,
-                                        lu,
-                                        offsets: vec![0],
-                                        clusters: 1,
-                                    })
-                                })();
-                                let _ = root_out.set(root_res);
-                                meters.finish(me, CLASS_ROOT, begun2);
-                            });
-                        }
+                let skel = |b: usize| -> Option<usize> {
+                    match arena.basis[b].get() {
+                        Some(Ok(out)) => Some(out.cf.skeleton),
+                        _ => None,
                     }
                 };
-                run();
-                meters.finish(me, CLASS_MERGE, begun);
+                let (Some(k0), Some(k1), Some(k2), Some(k3)) = (
+                    skel(2 * pi),
+                    skel(2 * pi + 1),
+                    skel(2 * pj),
+                    skel(2 * pj + 1),
+                ) else {
+                    return;
+                };
+                let rows = k0 + k1;
+                let cols = k2 + k3;
+                // `None` = no child block materialized (the parent slot is
+                // runtime-absent); one child is enough to materialize the
+                // merged block, even at zero dimensions.
+                let mut out: Option<Matrix> = None;
+                for &cx in &g.children {
+                    let (ci, cj) = plan.ss_cand[cx].pair;
+                    let Some(block) = arena.ss[cx].get() else {
+                        return;
+                    };
+                    let Some(m) = block.as_ref() else { continue };
+                    let merged = out.get_or_insert_with(|| Matrix::zeros(rows, cols));
+                    let ro = if ci % 2 == 0 { 0 } else { k0 };
+                    let co = if cj % 2 == 0 { 0 } else { k2 };
+                    if m.rows() > 0 && m.cols() > 0 {
+                        merged.add_block(ro, co, m);
+                    }
+                }
+                match g.target {
+                    MergeTarget::Dense(x) => {
+                        let Some(pa_arena) = parent_arena else { return };
+                        let _ = pa_arena.dense_in[x].set(out);
+                    }
+                    MergeTarget::Adm(x) => {
+                        let Some(pa_arena) = parent_arena else { return };
+                        let _ = pa_arena.adm_in[x].set(out);
+                    }
+                    MergeTarget::Pend(x) => {
+                        let Some(pa_arena) = parent_arena else { return };
+                        let _ = pa_arena.pend_in[x].set(out);
+                    }
+                    MergeTarget::Root => {
+                        // The dense root factorization is submitted
+                        // dynamically, from inside the task that produced
+                        // its input — the graph grows at runtime.
+                        submit_task(me, TaskKind::Root, 0.0, &[], move |_| {
+                            let root_res = (|| -> SolverResult<RootOut> {
+                                let Some(root) = out else {
+                                    return Err(SolverError::Internal {
+                                        what: "root block missing after level merge".to_string(),
+                                    });
+                                };
+                                if !matrix_is_finite(&root) {
+                                    return Err(SolverError::NonFiniteInput {
+                                        context: "root skeleton system contains \
+                                                      non-finite values"
+                                            .to_string(),
+                                    });
+                                }
+                                let dim = root.rows();
+                                let lu =
+                                    lu_factor(&root).map_err(|_| SolverError::SingularPivot {
+                                        cluster: 0,
+                                        level: 0,
+                                    })?;
+                                Ok(RootOut {
+                                    dim,
+                                    lu,
+                                    offsets: vec![0],
+                                    clusters: 1,
+                                })
+                            })();
+                            let _ = root_out.set(root_res);
+                        });
+                    }
+                }
             },
         );
         match g.target {
@@ -2418,7 +2156,6 @@ fn register_single_level_root<'env>(
     let arenas = ctx.arenas;
     let plan = &plans[0];
     let arena = &arenas[0];
-    let meters = ctx.meters;
     let root_out = ctx.root_out;
     let nb = plan.nb;
     let mut deps: Vec<TaskId> = Vec::new();
@@ -2426,12 +2163,7 @@ fn register_single_level_root<'env>(
     deps.extend(leaf.ss.iter().copied());
     deps.extend(gate);
     let deps = dedup_deps(deps);
-    let bomb = h2_matrix::fault::task_panic_armed();
-    scope.submit(TaskKind::Factor, 0.0, &deps, move |me| {
-        if bomb {
-            panic!("injected task panic (H2_FAULT=task_panic)");
-        }
-        let begun = ClassMeter::begin();
+    submit_task(scope, TaskKind::Root, 0.0, &deps, move |_| {
         let run = || -> Option<SolverResult<RootOut>> {
             let mut ks: Vec<usize> = Vec::with_capacity(nb);
             for i in 0..nb {
@@ -2475,7 +2207,6 @@ fn register_single_level_root<'env>(
         if let Some(r) = run() {
             let _ = root_out.set(r);
         }
-        meters.finish(me, CLASS_ROOT, begun);
     });
 }
 

@@ -145,6 +145,57 @@ fn fused_graph_reports_task_class_and_overlap_accounting() {
         tc.construction_span_seconds > 0.0 && tc.factorization_span_seconds > 0.0,
         "both group spans must be non-empty"
     );
+    // Every number above is derived from the recorded graph: each task
+    // carries its class and span, a class's seconds are its nodes' summed
+    // spans, and a group's flops are its kinds' summed costs.
+    use h2_runtime::TaskKind;
+    let g = &f.task_graph;
+    assert!(g.iter().all(|n| n.span.is_some()), "every task is timed");
+    let seconds = |kind: TaskKind| -> f64 {
+        g.iter()
+            .filter(|n| n.kind == kind)
+            .map(|n| n.seconds())
+            .sum()
+    };
+    for (kind, field) in [
+        (TaskKind::Fill, tc.fill_seconds),
+        (TaskKind::Basis, tc.basis_seconds),
+        (TaskKind::Coupling, tc.coupling_seconds),
+        (TaskKind::Transform, tc.transform_seconds),
+        (TaskKind::Pivot, tc.pivot_seconds),
+        (TaskKind::Schur, tc.schur_seconds),
+        (TaskKind::Merge, tc.merge_seconds),
+        (TaskKind::Map, tc.map_seconds),
+        (TaskKind::Root, tc.root_seconds),
+    ] {
+        assert_eq!(field, seconds(kind), "{kind:?} seconds");
+    }
+    let flops = |kinds: &[TaskKind]| -> u64 {
+        g.iter()
+            .filter(|n| kinds.contains(&n.kind))
+            .map(|n| n.cost)
+            .sum::<f64>() as u64
+    };
+    assert_eq!(
+        f.stats.construction_flops,
+        flops(&[
+            TaskKind::Assembly,
+            TaskKind::Fill,
+            TaskKind::Basis,
+            TaskKind::Coupling
+        ])
+    );
+    assert_eq!(
+        f.stats.factorization_flops,
+        flops(&[
+            TaskKind::Transform,
+            TaskKind::Pivot,
+            TaskKind::Schur,
+            TaskKind::Merge,
+            TaskKind::Map,
+            TaskKind::Root
+        ])
+    );
 }
 
 #[test]

@@ -298,7 +298,7 @@ impl H2Matrix {
                     let ej = &explicit[level][j];
                     let ii = &interp[level][i];
                     let ij = &interp[level][j];
-                    let id = scope.submit(TaskKind::Compress, (mi * mj) as f64, &deps, move |_| {
+                    let id = scope.submit(TaskKind::Coupling, (mi * mj) as f64, &deps, move |_| {
                         let clusters = tree_ref.clusters_at_level(level);
                         let s = match (
                             ii.get().and_then(|o| o.as_ref()),

@@ -13,7 +13,7 @@
 //! * [`sketch`] — sketch-then-orthonormalize compression: the fast path of the H²
 //!   construction, either a Gaussian sketch (GEMM-dominated) or a mixed-precision
 //!   SRFT-style structured sketch (`O(m·n·log n)` butterfly mixing, optionally f32),
-//! * [`add_round`] — low-rank addition followed by re-compression ("rounding"),
+//! * [`add_round`](mod@add_round) — low-rank addition followed by re-compression ("rounding"),
 //!   needed by the BLR LU's Schur updates and by the recompression step of the
 //!   H²-ULV *with* dependencies.
 

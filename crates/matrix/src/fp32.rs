@@ -9,7 +9,7 @@
 //! substrate: a column-major [`MatrixF32`], a packed GEMM with the same
 //! BLIS-style blocking as the f64 microkernel ([`crate::kernel`]) but a
 //! 32-lane register tile, a column-pivoted QR (same LAPACK `dlaqps` delayed
-//! update scheme as [`crate::pivoted_qr`]), and f64↔f32 conversion helpers.
+//! update scheme as [`crate::pivoted_qr()`]), and f64↔f32 conversion helpers.
 //!
 //! Everything here is serial and allocation-order deterministic: the sketching
 //! call sites are DAG tasks that are themselves scheduled in parallel, and the

@@ -5,9 +5,9 @@
 //! a column-major [`Matrix`] type together with the dense kernels required by the
 //! structured low-rank factorizations built on top of it:
 //!
-//! * level-1/2/3 BLAS-like kernels ([`blas1`], [`gemm`], [`triangular`]),
+//! * level-1/2/3 BLAS-like kernels ([`blas1`], [`gemm`](mod@gemm), [`triangular`]),
 //! * LU with partial pivoting and Cholesky factorizations ([`lu`], [`cholesky`]),
-//! * Householder QR and column-pivoted (rank-revealing) QR ([`qr`], [`pivoted_qr`]),
+//! * Householder QR and column-pivoted (rank-revealing) QR ([`qr`], [`pivoted_qr`](mod@pivoted_qr)),
 //! * a one-sided Jacobi SVD used for validation and truncation ([`svd`]),
 //! * matrix norms ([`norms`]),
 //! * global floating-point operation counters ([`flops`]) standing in for the

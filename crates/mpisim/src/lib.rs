@@ -19,5 +19,5 @@
 pub mod netmodel;
 pub mod process_tree;
 
-pub use netmodel::{allgather_time, reduce_time, NetworkModel};
+pub use netmodel::{allgather_time, NetworkModel};
 pub use process_tree::ProcessTree;

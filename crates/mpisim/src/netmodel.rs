@@ -27,13 +27,6 @@ impl Default for NetworkModel {
     }
 }
 
-impl NetworkModel {
-    /// Time for a single point-to-point message of `bytes` bytes.
-    pub fn p2p_time(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-}
-
 /// Time of an allgather over `ranks` ranks where each rank contributes `bytes_per_rank`
 /// bytes, using the recursive-doubling model.
 pub fn allgather_time(model: &NetworkModel, ranks: usize, bytes_per_rank: u64) -> f64 {
@@ -46,28 +39,9 @@ pub fn allgather_time(model: &NetworkModel, ranks: usize, bytes_per_rank: u64) -
     stages * model.latency + (p - 1.0) / p * total / model.bandwidth
 }
 
-/// Time of a reduction (or broadcast) of `bytes` bytes over `ranks` ranks (binomial tree).
-pub fn reduce_time(model: &NetworkModel, ranks: usize, bytes: u64) -> f64 {
-    if ranks <= 1 {
-        return 0.0;
-    }
-    let stages = (ranks as f64).log2().ceil();
-    stages * (model.latency + bytes as f64 / model.bandwidth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn p2p_time_is_latency_plus_transfer() {
-        let m = NetworkModel {
-            latency: 1e-6,
-            bandwidth: 1e9,
-        };
-        assert!((m.p2p_time(1_000_000) - (1e-6 + 1e-3)).abs() < 1e-12);
-        assert!((m.p2p_time(0) - 1e-6).abs() < 1e-15);
-    }
 
     #[test]
     fn allgather_scales_with_ranks_and_volume() {
@@ -89,12 +63,5 @@ mod tests {
         };
         let t = allgather_time(&m, 1024, 8);
         assert!(t > 9.9e-3, "10 stages of 1 ms latency each: got {t}");
-        let r = reduce_time(&m, 1024, 8);
-        assert!(r > 9.9e-3);
-    }
-
-    #[test]
-    fn reduce_time_zero_for_single_rank() {
-        assert_eq!(reduce_time(&NetworkModel::default(), 1, 100), 0.0);
     }
 }

@@ -58,18 +58,6 @@ impl ProcessTree {
         range
     }
 
-    /// The single rank owning cluster `(level, index)` when `level >= depth`, or the
-    /// first rank of the owning range otherwise.
-    pub fn owner(&self, level: usize, index: usize) -> usize {
-        self.owners(level, index).0
-    }
-
-    /// True if `rank` participates in (owns or redundantly computes) node `(level, index)`.
-    pub fn participates(&self, rank: usize, level: usize, index: usize) -> bool {
-        let (lo, hi) = self.owners(level, index);
-        rank >= lo && rank < hi
-    }
-
     /// The cluster index at `level` whose owning range contains `rank`; at grafted
     /// levels, where one rank owns several clusters, the first of them.
     pub fn cluster_of_rank(&self, rank: usize, level: usize) -> usize {
@@ -116,16 +104,14 @@ mod tests {
         // At the leaf level of the process tree every rank owns one node.
         for i in 0..8 {
             assert_eq!(pt.owners(3, i), (i, i + 1));
-            assert_eq!(pt.owner(3, i), i);
         }
         // One level up, pairs of ranks share a node.
         assert_eq!(pt.owners(2, 0), (0, 2));
         assert_eq!(pt.owners(2, 3), (6, 8));
         // Root is shared by everyone.
         assert_eq!(pt.owners(0, 0), (0, 8));
-        assert!(pt.participates(5, 0, 0));
-        assert!(pt.participates(5, 2, 2));
-        assert!(!pt.participates(5, 2, 0));
+        // Rank 5 holds the root and node (2, 2), not node (2, 0).
+        assert_eq!(pt.owners(2, 2), (4, 6));
     }
 
     #[test]
@@ -175,7 +161,11 @@ mod tests {
                     }
                 }
                 for r in 0..ranks {
-                    assert!(pt.participates(r, level, pt.cluster_of_rank(r, level)));
+                    let (lo, hi) = pt.owners(level, pt.cluster_of_rank(r, level));
+                    assert!(
+                        (lo..hi).contains(&r),
+                        "ranks {ranks}: rank {r} at level {level}"
+                    );
                 }
                 if level > 0 {
                     for i in 0..1usize << (level - 1) {
@@ -210,7 +200,7 @@ mod tests {
         assert_eq!(pt.depth, 0);
         assert_eq!(pt.owners(0, 0), (0, 1));
         assert_eq!(pt.owners(3, 5), (0, 1));
-        assert!(pt.participates(0, 2, 1));
+        assert_eq!(pt.owners(2, 1), (0, 1));
     }
 
     #[test]

@@ -12,8 +12,12 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
-/// Category of a task — used for trace coloring and the Fig. 13 style overhead
-/// breakdown.
+/// Category of a task — used for trace coloring, per-kind work sums and the
+/// Fig. 13 style breakdown.
+///
+/// The first five are the generic kinds of the LORAPO baseline DAG; the rest
+/// are the task classes of the fused H²-ULV graph (its basis tasks are
+/// [`TaskKind::Basis`]), so a recorded run explains itself kind by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// LU / Cholesky factorization of a diagonal block (GETRF/POTRF).
@@ -22,27 +26,66 @@ pub enum TaskKind {
     Solve,
     /// Schur-complement style matrix multiply (GEMM).
     Update,
-    /// Low-rank compression / recompression.
-    Compress,
     /// Basis construction (QR of concatenated blocks).
     Basis,
-    /// Inter-process communication (used by the distributed model).
-    Comm,
     /// Anything else.
     Other,
+    /// Dense leaf-block assembly (one block row of kernel entries).
+    Assembly,
+    /// Fill-in pre-computation of one pivot.
+    Fill,
+    /// Skeleton coupling of one admissible pair.
+    Coupling,
+    /// Two-sided basis transform of one dense block row.
+    Transform,
+    /// Elimination of one pivot: LU, panel solves, Schur products.
+    Pivot,
+    /// Skeleton–skeleton accumulation of one surviving block.
+    Schur,
+    /// Merge of children's surviving blocks into one parent block.
+    Merge,
+    /// Stacking of one parent cluster's basis maps.
+    Map,
+    /// Dense factorization of the root skeleton system.
+    Root,
 }
 
 impl TaskKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [TaskKind; 14] = [
+        TaskKind::Factor,
+        TaskKind::Solve,
+        TaskKind::Update,
+        TaskKind::Basis,
+        TaskKind::Other,
+        TaskKind::Assembly,
+        TaskKind::Fill,
+        TaskKind::Coupling,
+        TaskKind::Transform,
+        TaskKind::Pivot,
+        TaskKind::Schur,
+        TaskKind::Merge,
+        TaskKind::Map,
+        TaskKind::Root,
+    ];
+
     /// Short label used in trace exports.
     pub fn label(&self) -> &'static str {
         match self {
             TaskKind::Factor => "factor",
             TaskKind::Solve => "solve",
             TaskKind::Update => "update",
-            TaskKind::Compress => "compress",
             TaskKind::Basis => "basis",
-            TaskKind::Comm => "comm",
             TaskKind::Other => "other",
+            TaskKind::Assembly => "assembly",
+            TaskKind::Fill => "fill",
+            TaskKind::Coupling => "coupling",
+            TaskKind::Transform => "transform",
+            TaskKind::Pivot => "pivot",
+            TaskKind::Schur => "schur",
+            TaskKind::Merge => "merge",
+            TaskKind::Map => "map",
+            TaskKind::Root => "root",
         }
     }
 }
@@ -52,14 +95,24 @@ impl TaskKind {
 pub struct TaskNode {
     /// Task id (index into the graph).
     pub id: TaskId,
-    /// Cost in abstract work units (flops for compute tasks, bytes for comm tasks).
+    /// Cost in abstract work units (the solvers use flop counts).
     pub cost: f64,
     /// Category.
     pub kind: TaskKind,
+    /// `(start, end)` of the body in seconds from the start of the live scope
+    /// that ran it, when the body timed itself ([`crate::LiveScope::timed`]).
+    pub span: Option<(f64, f64)>,
     /// Tasks that must complete before this one starts.
     pub deps: Vec<TaskId>,
     /// Tasks that depend on this one (filled automatically).
     pub dependents: Vec<TaskId>,
+}
+
+impl TaskNode {
+    /// Seconds between the recorded start and end (0 for an untimed task).
+    pub fn seconds(&self) -> f64 {
+        self.span.map_or(0.0, |(start, end)| end - start)
+    }
 }
 
 /// A directed acyclic graph of tasks.
@@ -94,6 +147,7 @@ impl TaskGraph {
             id,
             cost,
             kind,
+            span: None,
             deps: deps.to_vec(),
             dependents: Vec::new(),
         });
@@ -147,18 +201,9 @@ impl TaskGraph {
         self.nodes.iter().filter(|n| n.deps.is_empty()).count()
     }
 
-    /// Work broken down per task kind.
+    /// Work per task kind, in [`TaskKind::ALL`] order, for kinds with non-zero work.
     pub fn work_by_kind(&self) -> Vec<(TaskKind, f64)> {
-        let kinds = [
-            TaskKind::Factor,
-            TaskKind::Solve,
-            TaskKind::Update,
-            TaskKind::Compress,
-            TaskKind::Basis,
-            TaskKind::Comm,
-            TaskKind::Other,
-        ];
-        kinds
+        TaskKind::ALL
             .iter()
             .map(|&k| {
                 (
@@ -236,6 +281,6 @@ mod tests {
     #[test]
     fn kind_labels() {
         assert_eq!(TaskKind::Factor.label(), "factor");
-        assert_eq!(TaskKind::Comm.label(), "comm");
+        assert_eq!(TaskKind::Coupling.label(), "coupling");
     }
 }

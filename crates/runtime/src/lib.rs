@@ -25,7 +25,7 @@
 //!   figures use, because the CI machine cannot host the paper's core counts,
 //! * [`trace`] — execution traces (worker timelines, useful vs. overhead time) that
 //!   regenerate the Fig. 13 analysis,
-//! * [`stats`] — makespan / critical path / efficiency summaries.
+//! * [`stats`] — the thread pool's work-stealing counters.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -40,5 +40,5 @@ pub use dag::{TaskGraph, TaskId, TaskKind};
 pub use live::{live_scope, LiveScope};
 pub use pool::{resolve_num_threads, TaskPanic, ThreadPool};
 pub use sim::{simulate_schedule, SimConfig, SimResult};
-pub use stats::{ScheduleStats, WorkStealCounters};
+pub use stats::WorkStealCounters;
 pub use trace::{Trace, TraceEvent};

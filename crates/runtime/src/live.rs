@@ -13,10 +13,11 @@
 //! ```ignore
 //! let pool = ThreadPool::new(4);
 //! let ((), graph) = live_scope(&pool, |scope| {
-//!     let a = scope.submit(TaskKind::Compress, 1.0, &[], |_| { /* ... */ });
-//!     scope.submit(TaskKind::Factor, 2.0, &[a], |scope| {
+//!     let a = scope.submit(TaskKind::Fill, 1.0, &[], |_| { /* ... */ });
+//!     scope.submit(TaskKind::Merge, 2.0, &[a], |scope| {
 //!         // dynamic submission: successors enter the live graph mid-run
-//!         scope.submit(TaskKind::Factor, 3.0, &[], |scope| {
+//!         scope.submit(TaskKind::Root, 3.0, &[], |scope| {
+//!             scope.timed(|| { /* ... */ }); // the node records its span
 //!             scope.report_cost(1.0e6); // e.g. the flops this task performed
 //!         });
 //!     });
@@ -46,7 +47,9 @@
 //!   dynamically grown parts of the graph stay on the critical path.  A node's
 //!   cost is whatever its body passed to [`LiveScope::report_cost`] — the
 //!   factorizations report their per-thread flop delta, which keeps costs
-//!   deterministic and in the unit the LORAPO baseline DAG uses.
+//!   deterministic and in the unit the LORAPO baseline DAG uses.  A body that
+//!   runs its work inside [`LiveScope::timed`] also records its start and end;
+//!   a body that does not takes no clock read.
 //!
 //! Determinism: the scope does not impose an execution order beyond the
 //! dependency edges, so callers must make every task write its own private
@@ -56,7 +59,8 @@
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -87,7 +91,7 @@ struct Sched {
 /// The live graph, one entry per task in both vectors.  `record` is the graph
 /// [`live_scope`] hands back, built in place: kind and dependencies at
 /// submission, reverse edges (every task that listed this one, released or
-/// not) as dependents register, the reported cost at completion.
+/// not) as dependents register, the reported cost and span at completion.
 #[derive(Default)]
 struct LiveNodes {
     sched: Vec<Sched>,
@@ -97,6 +101,8 @@ struct LiveNodes {
 /// Bookkeeping shared by every handle to one live graph.
 struct LiveShared {
     pool: Arc<PoolShared>,
+    /// Start of the scope: the origin of every recorded task span.
+    epoch: Instant,
     /// Node states plus edges.  One lock for the whole graph — it is held only
     /// for bookkeeping (state flips, edge release), never while a task body
     /// runs, so contention is bounded by release traffic.
@@ -118,6 +124,8 @@ pub struct LiveScope<'env> {
     current: Option<TaskId>,
     /// Bits of the `f64` cost the running task reported.
     cost: AtomicU64,
+    /// Span of the running task's first [`LiveScope::timed`] region.
+    span: OnceLock<(f64, f64)>,
     _env: PhantomData<&'env mut &'env ()>,
 }
 
@@ -127,6 +135,7 @@ impl<'env> LiveScope<'env> {
             shared,
             current,
             cost: AtomicU64::new(0.0f64.to_bits()),
+            span: OnceLock::new(),
             _env: PhantomData,
         }
     }
@@ -179,6 +188,7 @@ impl<'env> LiveScope<'env> {
             id,
             cost: 0.0,
             kind,
+            span: None,
             deps,
             dependents: Vec::new(),
         });
@@ -203,12 +213,29 @@ impl<'env> LiveScope<'env> {
     pub fn report_cost(&self, cost: f64) {
         self.cost.store(cost.to_bits(), Ordering::Relaxed);
     }
+
+    /// Run `body` between two clock reads and record them, in seconds from
+    /// the start of the scope, as the running task's span in the graph
+    /// [`live_scope`] returns.  The first timed region of a task is its span;
+    /// the builder's handle records nothing.  Tasks that never call this take
+    /// no clock read.
+    pub fn timed<R>(&self, body: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = body();
+        let end = Instant::now();
+        let epoch = self.shared.epoch;
+        let _ = self.span.set((
+            start.saturating_duration_since(epoch).as_secs_f64(),
+            end.saturating_duration_since(epoch).as_secs_f64(),
+        ));
+        out
+    }
 }
 
 /// Push one ready task to the pool.  A panicking body is caught here, recorded
 /// once, and cancels the rest of the graph; completion stores the reported
-/// cost, releases dependents per edge and pushes the newly ready ones, most
-/// critical last (LIFO deque → runs first).
+/// cost and span, releases dependents per edge and pushes the newly ready
+/// ones, most critical last (LIFO deque → runs first).
 fn spawn_live(shared: &Arc<LiveShared>, id: TaskId, priority: f64, job: LiveJob) {
     let for_job = Arc::clone(shared);
     shared.pool.push(
@@ -244,6 +271,7 @@ fn spawn_live(shared: &Arc<LiveShared>, id: TaskId, priority: f64, job: LiveJob)
                 let LiveNodes { sched, record } = &mut *guard;
                 sched[id.0].state = NodeState::Done;
                 record[id.0].cost = f64::from_bits(scope.cost.load(Ordering::Relaxed));
+                record[id.0].span = scope.span.get().copied();
                 for &dep in &record[id.0].dependents {
                     let node = &mut sched[dep.0];
                     let released = match &mut node.state {
@@ -289,6 +317,7 @@ pub fn live_scope<'env, R>(
 ) -> Result<(R, TaskGraph), TaskPanic> {
     let shared = Arc::new(LiveShared {
         pool: Arc::clone(pool.shared_handle()),
+        epoch: Instant::now(),
         nodes: Mutex::new(LiveNodes::default()),
         cancelled: AtomicBool::new(false),
         failure: Mutex::new(None),
@@ -503,24 +532,32 @@ mod tests {
     fn the_returned_graph_is_the_one_that_ran() {
         let pool = ThreadPool::new(3);
         let inner = std::sync::OnceLock::new();
+        let began = std::time::Instant::now();
         let ((a, b, c), graph) = live_scope(&pool, |scope| {
-            let a = scope.submit(TaskKind::Compress, 1.0, &[], |s| s.report_cost(7.0));
+            let a = scope.submit(TaskKind::Fill, 1.0, &[], |s| {
+                s.timed(|| s.report_cost(7.0));
+            });
             let b = scope.submit(TaskKind::Basis, 1.0, &[a], |s| {
                 s.report_cost(1.0);
                 s.report_cost(5.0); // the last report wins
             });
             let inner = &inner;
             let c = scope.submit(TaskKind::Update, 1.0, &[a, b], move |s| {
-                s.report_cost(3.0);
-                // Dynamic submission with no explicit deps: the record must
-                // still tie it to its submitter.
-                let d = s.submit(TaskKind::Factor, 0.0, &[], |s| s.report_cost(11.0));
-                let _ = inner.set(d);
+                s.timed(|| {
+                    s.report_cost(3.0);
+                    // Dynamic submission with no explicit deps: the record
+                    // must still tie it to its submitter.
+                    let d = s.submit(TaskKind::Root, 0.0, &[], |s| s.report_cost(11.0));
+                    let _ = inner.set(d);
+                });
+                s.timed(|| {}); // the first timed region is the span
             });
             scope.report_cost(99.0); // the builder's handle is no task
+            scope.timed(|| {});
             (a, b, c)
         })
         .expect("clean run");
+        let wall = began.elapsed().as_secs_f64();
         let d = *inner.get().expect("inner task submitted");
         assert_eq!(graph.len(), 4, "one node per submitted task");
         assert!(graph.validate());
@@ -528,10 +565,10 @@ mod tests {
         assert_eq!(
             [a, b, c, d].map(|t| node(t).kind),
             [
-                TaskKind::Compress,
+                TaskKind::Fill,
                 TaskKind::Basis,
                 TaskKind::Update,
-                TaskKind::Factor
+                TaskKind::Root
             ]
         );
         assert!(node(a).deps.is_empty());
@@ -544,5 +581,22 @@ mod tests {
         assert_eq!(graph.total_work(), 26.0);
         assert_eq!(graph.critical_path(), 26.0);
         assert_eq!(graph.num_roots(), 1);
+        // Timed tasks carry their span inside the scope's wall time, in
+        // dependency order; silent tasks carry none.
+        let span = |t: TaskId| node(t).span.expect("timed task has a span");
+        for t in [a, c] {
+            let (start, end) = span(t);
+            assert!(
+                0.0 <= start && start <= end && end <= wall,
+                "{t:?}: {start}..{end}"
+            );
+            assert_eq!(node(t).seconds(), end - start);
+        }
+        assert!(
+            span(a).1 <= span(c).0,
+            "c starts after its dependency a ends"
+        );
+        assert_eq!([b, d].map(|t| node(t).span), [None, None]);
+        assert_eq!(node(b).seconds(), 0.0);
     }
 }

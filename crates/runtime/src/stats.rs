@@ -1,8 +1,4 @@
-//! Summary statistics for schedules and scaling sweeps, plus the runtime's
-//! work-stealing counters.
-
-use crate::dag::TaskGraph;
-use crate::sim::{simulate_schedule, SimConfig, SimResult};
+//! The runtime's work-stealing counters.
 
 /// Snapshot of a [`crate::pool::ThreadPool`]'s scheduling counters.
 ///
@@ -30,130 +26,5 @@ impl WorkStealCounters {
             return 0.0;
         }
         self.steals as f64 / self.executed as f64
-    }
-}
-
-/// Summary of a task graph's parallel structure and of a simulated schedule on a range
-/// of worker counts — the raw material of the strong-scaling figures.
-#[derive(Debug, Clone)]
-pub struct ScheduleStats {
-    /// Total work in the graph (work units).
-    pub total_work: f64,
-    /// Critical-path length (work units).
-    pub critical_path: f64,
-    /// Number of tasks.
-    pub tasks: usize,
-    /// Number of initially-ready tasks.
-    pub roots: usize,
-    /// `(workers, makespan_seconds, efficiency)` triples.
-    pub scaling: Vec<(usize, f64, f64)>,
-}
-
-impl ScheduleStats {
-    /// Analyse `graph` and simulate it for every worker count in `worker_counts`.
-    pub fn analyze(graph: &TaskGraph, base: &SimConfig, worker_counts: &[usize]) -> Self {
-        let mut scaling = Vec::with_capacity(worker_counts.len());
-        for &w in worker_counts {
-            let cfg = SimConfig {
-                workers: w,
-                ..*base
-            };
-            let res: SimResult = simulate_schedule(graph, &cfg);
-            scaling.push((w, res.makespan, res.efficiency(w)));
-        }
-        ScheduleStats {
-            total_work: graph.total_work(),
-            critical_path: graph.critical_path(),
-            tasks: graph.len(),
-            roots: graph.num_roots(),
-            scaling,
-        }
-    }
-
-    /// Average available parallelism (`total_work / critical_path`).
-    pub fn average_parallelism(&self) -> f64 {
-        if self.critical_path == 0.0 {
-            return 0.0;
-        }
-        self.total_work / self.critical_path
-    }
-
-    /// Speedup of the largest simulated worker count over one worker (if present).
-    pub fn max_speedup(&self) -> f64 {
-        let t1 = self
-            .scaling
-            .iter()
-            .find(|(w, _, _)| *w == 1)
-            .map(|(_, t, _)| *t);
-        let tmax = self
-            .scaling
-            .iter()
-            .max_by_key(|(w, _, _)| *w)
-            .map(|(_, t, _)| *t);
-        match (t1, tmax) {
-            (Some(t1), Some(tp)) if tp > 0.0 => t1 / tp,
-            _ => 1.0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dag::{TaskGraph, TaskKind};
-
-    fn wide_graph(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        for _ in 0..n {
-            g.add_task(TaskKind::Update, 1.0, &[]);
-        }
-        g
-    }
-
-    #[test]
-    fn analyze_reports_scaling_of_embarrassingly_parallel_graph() {
-        let g = wide_graph(128);
-        let cfg = SimConfig {
-            workers: 1,
-            flops_per_second: 1.0,
-            per_task_overhead: 0.0,
-            min_task_time: 0.0,
-        };
-        let stats = ScheduleStats::analyze(&g, &cfg, &[1, 2, 4, 8, 16]);
-        assert_eq!(stats.tasks, 128);
-        assert_eq!(stats.roots, 128);
-        assert_eq!(stats.average_parallelism(), 128.0);
-        assert!((stats.max_speedup() - 16.0).abs() < 1e-6);
-        // Efficiency stays ~1 for a perfectly parallel graph.
-        for &(_, _, eff) in &stats.scaling {
-            assert!(eff > 0.99);
-        }
-    }
-
-    #[test]
-    fn serial_chain_has_unit_parallelism() {
-        let mut g = TaskGraph::new();
-        let mut prev = None;
-        for _ in 0..10 {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(g.add_task(TaskKind::Factor, 2.0, &deps));
-        }
-        let cfg = SimConfig {
-            workers: 1,
-            flops_per_second: 1.0,
-            per_task_overhead: 0.0,
-            min_task_time: 0.0,
-        };
-        let stats = ScheduleStats::analyze(&g, &cfg, &[1, 8]);
-        assert!((stats.average_parallelism() - 1.0).abs() < 1e-12);
-        assert!((stats.max_speedup() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_graph_stats() {
-        let g = TaskGraph::new();
-        let stats = ScheduleStats::analyze(&g, &SimConfig::default(), &[1]);
-        assert_eq!(stats.average_parallelism(), 0.0);
-        assert_eq!(stats.max_speedup(), 1.0);
     }
 }
